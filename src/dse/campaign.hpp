@@ -52,7 +52,7 @@ struct PointRecord {
 /// expensive warm-up prefix (filling pipelines, reaching steady state);
 /// with a policy set, a cold run drops one snapshot per point at the
 /// warmup cycle, and a later run with restore=true resumes each point
-/// from its snapshot instead of re-simulating the prefix. Because probe
+/// from its snapshot instead of re-simulating the prefix. Because channel
 /// statistics restore with the snapshot, the warm report is byte-identical
 /// to the cold one. Only workloads with a make_session hook participate;
 /// run-to-completion engines (md5, processor) evaluate normally.

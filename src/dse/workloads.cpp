@@ -100,7 +100,7 @@ namespace {
 
 /// Session over an elaborated netlist workload: holds the netlist and the
 /// elaboration alive, exposes the simulator for the runner to drive (or
-/// checkpoint/restore), and reads the probes in finish().
+/// checkpoint/restore), and reads the channel counters in finish().
 class NetlistSession : public WorkloadSession {
  public:
   NetlistSession(netlist::Netlist net, const SweepPoint& p, std::string out_channel,
@@ -283,7 +283,7 @@ WorkloadResult run_md5(const SweepPoint& p, sim::Cycle /*cycles*/,
   r.cycles = ran;
   r.tokens = blocks;
   r.throughput = static_cast<double>(blocks) / static_cast<double>(ran);
-  r.mean_wait = 0;  // the engine has no channel probes
+  r.mean_wait = 0;  // the engine has no counted channels
   r.area = area::md5_design(area::CostModel{}, static_cast<unsigned>(p.threads),
                             base_kind(p.variant));
   r.kernel = KernelMetrics::capture(circuit.simulator());
@@ -322,7 +322,7 @@ WorkloadResult run_processor(const SweepPoint& p, sim::Cycle /*cycles*/,
   r.cycles = ran;
   r.tokens = proc.total_retired();
   r.throughput = proc.ipc();
-  r.mean_wait = 0;  // the engine has no channel probes
+  r.mean_wait = 0;  // the engine has no counted channels
   r.area = area::processor_design(area::CostModel{},
                                   static_cast<unsigned>(p.threads),
                                   base_kind(p.variant));

@@ -5,6 +5,7 @@
 // consumer drives ready.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -39,5 +40,12 @@ class Channel {
  private:
   std::string name_;
 };
+
+/// Registers `ch` with `s` for per-channel transfer counting
+/// (Simulator::count_transfers) under the channel's name.
+inline sim::ChannelCounters& count_transfers(sim::Simulator& s,
+                                             const Channel<std::uint64_t>& ch) {
+  return s.count_transfers(ch.name(), ch.valid, ch.ready, ch.data);
+}
 
 }  // namespace mte::elastic

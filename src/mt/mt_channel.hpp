@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,5 +92,14 @@ class MtChannel {
   std::vector<sim::Wire<bool>> ready_;
   ThreadMask valid_mask_;
 };
+
+/// Registers `ch` with `s` for per-channel transfer counting
+/// (Simulator::count_transfers) under the channel's name.
+inline sim::ChannelCounters& count_transfers(sim::Simulator& s,
+                                             const MtChannel<std::uint64_t>& ch) {
+  std::vector<const sim::Wire<bool>*> ready;
+  for (std::size_t t = 0; t < ch.threads(); ++t) ready.push_back(&ch.ready(t));
+  return s.count_transfers(ch.name(), ch.valid_mask().words(), std::move(ready), ch.data);
+}
 
 }  // namespace mte::mt

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "sim/snapshot.hpp"
@@ -171,6 +172,8 @@ class ThreadMask {
   // --- word-level access ----------------------------------------------------
   [[nodiscard]] std::size_t word_count() const noexcept { return words_.size(); }
   [[nodiscard]] std::uint64_t word(std::size_t w) const { return words_[w]; }
+  /// All words, stable for the mask's lifetime (see word_ptr).
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return words_; }
   /// Stable pointer to word w — wires mirror their bool value into mask
   /// bits through this (MtChannel's valid mask). Stable because the word
   /// storage is sized once at construction and never reallocates.

@@ -72,9 +72,9 @@ Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registr
   threads_ = netlist.threads();
   multithreaded_ = netlist.is_multithreaded();
   if (netlist.is_multithreaded()) {
-    elaborate_multi(netlist, registry, factory, options.channel_probes);
+    elaborate_multi(netlist, registry, factory);
   } else {
-    elaborate_single(netlist, registry, factory, options.channel_probes);
+    elaborate_single(netlist, registry, factory);
   }
   // Bare-name aliases for channels whose driver has a single output, plus
   // the endpoint records the robustness layer needs (violation loci,
@@ -94,29 +94,11 @@ Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registr
     if (to.type == NodeType::kBuffer) buffer_io_[to.name].in_channel = name;
     if (from.type == NodeType::kBuffer) buffer_io_[from.name].out_channel = name;
   }
-  // Publish every probe's statistics on the simulator's registry under
-  // the stable channel.* scheme — the machine-readable counterpart of
-  // stats_report(). Semantic category: probe statistics are settled-state
-  // observables, identical across settle kernels on lockstep-equivalent
-  // runs. The lambda outlives nothing it touches: sim_ is this class's
-  // first member, so the registry inside it is destroyed after the maps.
-  sim_.metrics().add_source([this](obs::MetricsSink& sink) {
-    for (const auto& name : channel_order_) {
-      const auto it = probes_.find(name);
-      if (it == probes_.end()) continue;
-      const ChannelProbe& p = *it->second;
-      const std::string base = "channel." + name + ".";
-      sink.counter(base + "transfers", p.count());
-      sink.gauge(base + "throughput", p.throughput());
-      sink.gauge(base + "mean_wait", p.mean_wait());
-      sink.counter(base + "max_wait", p.wait_histogram().max());
-    }
-  });
 }
 
 void Elaboration::elaborate_single(const Netlist& netlist,
                                    const FunctionRegistry& registry,
-                                   const ComponentFactory& factory, bool probes) {
+                                   const ComponentFactory& factory) {
   PortMap<elastic::Channel<Word>> ports;
   for (const auto& e : netlist.edges()) {
     const std::string name = channel_name(netlist, e);
@@ -125,7 +107,7 @@ void Elaboration::elaborate_single(const Netlist& netlist,
     ports.in[{e.to, e.to_port}] = &ch;
     channels_[name] = &ch;
     channel_order_.push_back(name);
-    if (probes) probes_[name] = &sim_.make<ChannelProbe>(sim_, name, ch);
+    counters_[name] = &elastic::count_transfers(sim_, ch);
   }
   for (const auto& n : netlist.nodes()) {
     const StContext ctx{sim_, netlist, n, registry, ports, *this};
@@ -135,7 +117,7 @@ void Elaboration::elaborate_single(const Netlist& netlist,
 
 void Elaboration::elaborate_multi(const Netlist& netlist,
                                   const FunctionRegistry& registry,
-                                  const ComponentFactory& factory, bool probes) {
+                                  const ComponentFactory& factory) {
   PortMap<mt::MtChannel<Word>> ports;
   for (const auto& e : netlist.edges()) {
     const std::string name = channel_name(netlist, e);
@@ -144,7 +126,7 @@ void Elaboration::elaborate_multi(const Netlist& netlist,
     ports.in[{e.to, e.to_port}] = &ch;
     mt_channels_[name] = &ch;
     channel_order_.push_back(name);
-    if (probes) probes_[name] = &sim_.make<ChannelProbe>(sim_, name, ch);
+    counters_[name] = &mt::count_transfers(sim_, ch);
   }
   for (const auto& n : netlist.nodes()) {
     const MtContext ctx{sim_, netlist, n, registry, ports, *this};
@@ -183,32 +165,27 @@ const std::string& Elaboration::resolve_channel(const std::string& name) const {
   throw ElaborationError("no channel '" + name + "'");
 }
 
-ChannelProbe& Elaboration::probe(const std::string& channel) {
-  const auto it = probes_.find(resolve_channel(channel));
-  if (it == probes_.end()) {
-    throw ElaborationError("channel probes are disabled for this elaboration");
-  }
-  return *it->second;
+const sim::ChannelCounters& Elaboration::probe(const std::string& channel) const {
+  return *counters_.at(resolve_channel(channel));
 }
 
 std::vector<std::string> Elaboration::channel_names() const {
   return channel_order_;
 }
 
-double Elaboration::throughput(const std::string& channel) {
+double Elaboration::throughput(const std::string& channel) const {
   return probe(channel).throughput();
 }
 
-double Elaboration::mean_wait(const std::string& channel) {
+double Elaboration::mean_wait(const std::string& channel) const {
   return probe(channel).mean_wait();
 }
 
-std::string Elaboration::stats_report() {
-  if (probes_.empty()) return "channel probes are disabled for this elaboration\n";
+std::string Elaboration::stats_report() const {
   std::ostringstream os;
   os << "channel            tokens  tput    mean_wait  max_wait\n";
   for (const auto& name : channel_order_) {
-    const ChannelProbe& p = *probes_.at(name);
+    const sim::ChannelCounters& p = *counters_.at(name);
     char line[128];
     std::snprintf(line, sizeof(line), "%-18s %6llu  %6.3f  %9.2f  %8llu\n",
                   name.c_str(), static_cast<unsigned long long>(p.count()),

@@ -7,11 +7,13 @@
 // extensible registry that makes new primitives a registration, not a
 // code change.
 //
-// Besides the boundary source/sink handles, an Elaboration attaches a
-// ChannelProbe to every channel: probe("node:port") (or probe("node") for
-// single-output drivers) exposes per-thread throughput and backpressure
-// latency statistics uniformly for single-thread and multithreaded
-// designs.
+// Besides the boundary source/sink handles, an Elaboration registers every
+// channel with the simulator's transfer counters
+// (Simulator::count_transfers): probe("node:port") (or probe("node") for
+// single-output drivers) returns the channel's sim::ChannelCounters —
+// per-thread throughput and backpressure wait statistics, uniformly for
+// single-thread and multithreaded designs. The kernel updates the counters
+// from the settled handshakes, so observation costs no eval and no tick.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,6 @@
 #include "mt/meb_variant.hpp"
 #include "mt/mt_sink.hpp"
 #include "mt/mt_source.hpp"
-#include "netlist/channel_probe.hpp"
 #include "netlist/component_factory.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/simulator.hpp"
@@ -59,11 +60,6 @@ class FunctionRegistry {
 };
 
 struct ElaborationOptions {
-  /// Attach a ChannelProbe to every channel. Probes cost a per-cycle
-  /// per-thread observation on each channel; disable for raw simulation
-  /// speed measurements.
-  bool channel_probes = true;
-
   /// The settle kernel the elaborated Simulator runs on. Defaults to the
   /// event-driven worklist kernel; select sim::KernelKind::kNaive to run
   /// on the reference kernel (e.g. as the oracle in equivalence tests).
@@ -81,8 +77,8 @@ struct ElaborationOptions {
 };
 
 /// The elaborated design: owns the simulator and exposes uniform handles —
-/// boundary components for workload configuration, per-channel probes for
-/// observation, and typed channel/MEB access for detailed inspection.
+/// boundary components for workload configuration, per-channel counters
+/// for observation, and typed channel/MEB access for detailed inspection.
 class Elaboration {
  public:
   /// Elaborates with the built-in primitive set.
@@ -113,19 +109,18 @@ class Elaboration {
 
   /// Per-channel statistics: throughput, per-thread rates, backpressure
   /// wait histogram. Works identically for both elaboration modes.
-  /// Throws when ElaborationOptions::channel_probes was disabled.
-  [[nodiscard]] ChannelProbe& probe(const std::string& channel);
+  [[nodiscard]] const sim::ChannelCounters& probe(const std::string& channel) const;
 
   /// All channel names, in edge order (full "node:port" form).
   [[nodiscard]] std::vector<std::string> channel_names() const;
 
   /// Convenience: probe(channel).throughput() / .mean_wait().
-  [[nodiscard]] double throughput(const std::string& channel);
-  [[nodiscard]] double mean_wait(const std::string& channel);
+  [[nodiscard]] double throughput(const std::string& channel) const;
+  [[nodiscard]] double mean_wait(const std::string& channel) const;
 
   /// A plain-text table of every channel's tokens, throughput and wait
   /// statistics — ready to print after a run.
-  [[nodiscard]] std::string stats_report();
+  [[nodiscard]] std::string stats_report() const;
 
   // Typed channel access, e.g. for timeline observers.
   [[nodiscard]] elastic::Channel<Word>& channel(const std::string& name);
@@ -145,6 +140,7 @@ class Elaboration {
 
   /// Binds every channel's wires into `injector` (by channel name, same
   /// "node:port" scheme as probe()) and attaches it to the simulator.
+  /// Injected faults are visible to the channel counters.
   void bind_faults(sim::FaultInjector& injector);
 
   // --- factory-facing registration ---------------------------------------
@@ -160,9 +156,9 @@ class Elaboration {
 
  private:
   void elaborate_single(const Netlist& netlist, const FunctionRegistry& registry,
-                        const ComponentFactory& factory, bool probes);
+                        const ComponentFactory& factory);
   void elaborate_multi(const Netlist& netlist, const FunctionRegistry& registry,
-                       const ComponentFactory& factory, bool probes);
+                       const ComponentFactory& factory);
   [[nodiscard]] const std::string& resolve_channel(const std::string& name) const;
 
   sim::Simulator sim_;
@@ -177,7 +173,7 @@ class Elaboration {
   std::map<std::string, std::function<int()>> buffer_occupancy_;
   std::map<std::string, elastic::Channel<Word>*> channels_;
   std::map<std::string, mt::MtChannel<Word>*> mt_channels_;
-  std::map<std::string, ChannelProbe*> probes_;
+  std::map<std::string, const sim::ChannelCounters*> counters_;
   std::map<std::string, std::string> channel_aliases_;  // "node" -> "node:0"
   std::vector<std::string> channel_order_;
 

@@ -2,7 +2,7 @@
 //
 // Every diagnostic the simulator and its attachments already maintain —
 // settle work, tick counts, per-component eval/tick calls, per-channel
-// probe statistics, profiler cost buckets — is published into one
+// transfer counters, profiler cost buckets — is published into one
 // registry under a stable label scheme:
 //
 //   sim.cycles                      cycles completed since construction
@@ -15,10 +15,10 @@
 //   sim.commit_seconds              } Simulator::set_phase_timing(true)
 //   component.<name>.evals          per-component eval dispatches
 //   component.<name>.ticks          per-component tick dispatches
-//   channel.<name>.transfers        ChannelProbe: completed handshakes
-//   channel.<name>.throughput       ChannelProbe: tokens/cycle
-//   channel.<name>.mean_wait        ChannelProbe: mean backpressure wait
-//   channel.<name>.max_wait         ChannelProbe: worst backpressure wait
+//   channel.<name>.transfers        completed handshakes    } the kernel's
+//   channel.<name>.throughput       tokens/cycle            } ChannelCounters
+//   channel.<name>.mean_wait        mean backpressure wait  } of each counted
+//   channel.<name>.max_wait         worst backpressure wait } channel
 //   profile.<type>.evals            profiler: eval calls per component type
 //   profile.<type>.ticks            profiler: tick calls per component type
 //   profile.<type>.settle_seconds   profiler: sampled settle wall time
@@ -32,7 +32,7 @@
 // it (set_enabled(false)) merely makes snapshots empty.
 //
 // Determinism contract: every metric carries a category.
-//   kSemantic  circuit-level observables (cycles, probe statistics).
+//   kSemantic  circuit-level observables (cycles, channel statistics).
 //              Lockstep-equivalent runs agree on these across KERNELS.
 //   kKernel    kernel diagnostics (evals, ticks, elisions). Deterministic
 //              for a fixed (kernel, seed), but kernels legitimately

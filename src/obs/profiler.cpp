@@ -29,11 +29,24 @@ void PhaseProfiler::record_tick(const sim::Component& c, double seconds) {
   ++samples_;
 }
 
-void PhaseProfiler::reset() noexcept {
+void PhaseProfiler::start(const std::vector<sim::Component*>& components) {
   types_.clear();
   instances_.clear();
   samples_ = 0;
   countdown_ = 1;
+  baseline_.clear();
+  for (const sim::Component* c : components) {
+    baseline_[c] = Calls{c->kernel_eval_calls(), c->kernel_tick_calls()};
+  }
+}
+
+PhaseProfiler::Calls PhaseProfiler::window_calls(const sim::Component& c) const {
+  Calls calls{c.kernel_eval_calls(), c.kernel_tick_calls()};
+  if (const auto it = baseline_.find(&c); it != baseline_.end()) {
+    calls.evals -= it->second.evals;
+    calls.ticks -= it->second.ticks;
+  }
+  return calls;
 }
 
 ProfileReport PhaseProfiler::report(
@@ -50,9 +63,10 @@ ProfileReport PhaseProfiler::report(
   for (const sim::Component* c : components) {
     auto it = exact.find(c->type_name());
     if (it == exact.end()) it = exact.emplace(std::string(c->type_name()), Exact{}).first;
+    const Calls calls = window_calls(*c);
     it->second.instances += 1;
-    it->second.evals += c->kernel_eval_calls();
-    it->second.ticks += c->kernel_tick_calls();
+    it->second.evals += calls.evals;
+    it->second.ticks += calls.ticks;
   }
 
   for (const auto& [type, ex] : exact) {
@@ -104,8 +118,9 @@ ProfileReport PhaseProfiler::report(
     InstanceRow row;
     row.name = c->name();
     row.type = std::string(c->type_name());
-    row.evals = c->kernel_eval_calls();
-    row.ticks = c->kernel_tick_calls();
+    const Calls calls = window_calls(*c);
+    row.evals = calls.evals;
+    row.ticks = calls.ticks;
     if (auto it = instances_.find(c->name()); it != instances_.end()) {
       row.settle_seconds = it->second.settle_seconds;
       row.commit_seconds = it->second.commit_seconds;

@@ -7,21 +7,24 @@
 // type_name(). Recorded durations are scaled by the stride, so bucket
 // totals estimate the true per-type wall time; call counts in the report
 // are NOT sampled — they are read exactly from the components'
-// kernel_eval_calls()/kernel_tick_calls() at report time.
+// kernel_eval_calls()/kernel_tick_calls() at report time, as deltas since
+// the window started. Counts and seconds cover the same window: the one
+// since Simulator::set_profiler attached the profiler (start()).
 //
 // Stride 1 (the default) times every dispatch: exact, ~2 steady_clock
 // reads per dispatched unit. Larger strides shrink overhead linearly at
 // the cost of timing variance; counts stay exact either way.
 //
 // The profiler is SCRATCH in the checkpoint model: Simulator::restore()
-// resets an attached profiler, so post-restore reports cover only the
-// replayed region (mirroring how diagnostics counters restart at zero).
+// restarts an attached profiler's window, so post-restore reports cover
+// only the replayed region (mirroring how diagnostics counters restart).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -36,8 +39,8 @@ namespace mte::obs {
 struct ProfileRow {
   std::string type;
   std::uint64_t instances = 0;
-  std::uint64_t evals = 0;   ///< exact: sum of kernel_eval_calls
-  std::uint64_t ticks = 0;   ///< exact: sum of kernel_tick_calls
+  std::uint64_t evals = 0;   ///< exact: kernel_eval_calls since start()
+  std::uint64_t ticks = 0;   ///< exact: kernel_tick_calls since start()
   double settle_seconds = 0.0;  ///< sampled, stride-scaled
   double commit_seconds = 0.0;  ///< sampled, stride-scaled
   double settle_share = 0.0;    ///< of total sampled settle time
@@ -102,13 +105,15 @@ class PhaseProfiler {
   void record_eval(const sim::Component& c, double seconds);
   void record_tick(const sim::Component& c, double seconds);
 
-  /// Drops all accumulated samples (Simulator::restore does this).
-  void reset() noexcept;
+  /// Starts a new window: drops the samples and takes the components'
+  /// current eval/tick call counts as the baseline report() subtracts.
+  /// Simulator::set_profiler and Simulator::restore call this.
+  void start(const std::vector<sim::Component*>& components);
 
   [[nodiscard]] std::uint64_t sample_count() const noexcept { return samples_; }
 
   /// Builds the ranked per-type report. `components` supplies the exact
-  /// call counts and the instance population (pass
+  /// call counts (since start()) and the instance population (pass
   /// Simulator::components()).
   [[nodiscard]] ProfileReport report(const std::vector<sim::Component*>& components,
                                      std::size_t top_n = 8) const;
@@ -119,13 +124,21 @@ class PhaseProfiler {
     double commit_seconds = 0.0;
   };
 
+  struct Calls {
+    std::uint64_t evals = 0;
+    std::uint64_t ticks = 0;
+  };
+
   Bucket& bucket(std::map<std::string, Bucket, std::less<>>& m, std::string_view key);
+  /// A component's eval/tick calls since start().
+  [[nodiscard]] Calls window_calls(const sim::Component& c) const;
 
   std::uint32_t stride_;
   std::uint32_t countdown_;
   std::uint64_t samples_ = 0;
   std::map<std::string, Bucket, std::less<>> types_;
   std::map<std::string, Bucket, std::less<>> instances_;
+  std::unordered_map<const sim::Component*, Calls> baseline_;
 };
 
 }  // namespace mte::obs

@@ -10,9 +10,10 @@
 //                      "tick_elision" instants (ph "i") on cycles where
 //                      the event kernel elided commits; a
 //                      "demoted_to_naive" instant if the kernel demoted.
-//   tid 3 "transfers"  completed handshakes (from a sim::TraceRecorder
-//                      or added directly) as instants named after the
-//                      channel, args carrying thread and tag.
+//   tid 3 "transfers"  completed handshakes on every counted channel
+//                      (Simulator::count_transfers; or added directly)
+//                      as instants named after the channel, args
+//                      carrying thread and tag (the payload).
 //
 // The session is BOUNDED: a hard event cap (Options::max_events, default
 // 1M) guards million-token runs; past the cap events are counted into
@@ -27,10 +28,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-
-namespace mte::sim {
-class TraceRecorder;
-}
 
 namespace mte::obs {
 
@@ -52,12 +49,10 @@ class TraceSession {
   /// Marks the cycle where the event kernel demoted to the naive order.
   void record_demotion(std::uint64_t cycle);
 
-  /// One completed transfer on the overlay track.
+  /// One completed transfer on the overlay track (called by
+  /// Simulator::step for every counted channel).
   void add_transfer(std::uint64_t cycle, std::string_view channel, int thread,
                     std::uint64_t tag);
-
-  /// Overlays every event of a TraceRecorder (bounded by the cap).
-  void add_transfers(const sim::TraceRecorder& recorder);
 
   /// JSON events emitted so far (excluding the fixed metadata events).
   [[nodiscard]] std::size_t event_count() const noexcept;

@@ -8,6 +8,8 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "obs/profiler.hpp"
 #include "obs/trace_session.hpp"
@@ -67,6 +69,15 @@ void Simulator::emit_sim_metrics(obs::MetricsSink& sink) const {
     sink.counter("component." + c->name() + ".ticks", c->kernel_tick_calls(),
                  MetricCategory::kKernel);
   }
+  // Channel statistics are settled-state observables: identical across
+  // settle kernels on lockstep-equivalent runs.
+  for (const auto& ch : channel_counters_) {
+    const std::string base = "channel." + ch->name() + ".";
+    sink.counter(base + "transfers", ch->count());
+    sink.gauge(base + "throughput", ch->throughput());
+    sink.gauge(base + "mean_wait", ch->mean_wait());
+    sink.counter(base + "max_wait", ch->wait_histogram().max());
+  }
   if (profiler_ != nullptr) profiler_->report(components_).emit_metrics(sink);
   if (trace_ != nullptr) trace_->emit_metrics(sink);
 }
@@ -91,6 +102,29 @@ void Simulator::set_kernel(KernelKind kind) {
   full_eval_pending_ = true;
   levels_valid_ = false;
   demoted_to_naive_ = false;
+}
+
+ChannelCounters& Simulator::count_transfers(std::string name, const Wire<bool>& valid,
+                                            const Wire<bool>& ready,
+                                            const Wire<std::uint64_t>& data) {
+  channel_counters_.push_back(std::unique_ptr<ChannelCounters>(
+      new ChannelCounters(std::move(name), 1, &valid, {}, {&ready}, data)));
+  return *channel_counters_.back();
+}
+
+ChannelCounters& Simulator::count_transfers(std::string name,
+                                            std::span<const std::uint64_t> valid_words,
+                                            std::vector<const Wire<bool>*> ready,
+                                            const Wire<std::uint64_t>& data) {
+  const std::size_t threads = ready.size();
+  channel_counters_.push_back(std::unique_ptr<ChannelCounters>(new ChannelCounters(
+      std::move(name), threads, nullptr, valid_words, std::move(ready), data)));
+  return *channel_counters_.back();
+}
+
+void Simulator::set_profiler(obs::PhaseProfiler* profiler) {
+  profiler_ = profiler;
+  if (profiler_ != nullptr) profiler_->start(components_);
 }
 
 void Simulator::register_component(Component& c) {
@@ -473,6 +507,7 @@ void Simulator::reset() {
     c->kernel_seed_mask_ = Component::kAllProcesses;
     c->tick_idle_hint_ = false;
   }
+  for (const auto& ch : channel_counters_) ch->clear();
   clear_pending();
   full_eval_pending_ = true;
   if (monitor_ != nullptr) monitor_->reset();
@@ -517,21 +552,29 @@ std::string Simulator::write_postmortem(const std::string& diagnosis) const {
     if (env != nullptr) dir = env;
   }
   if (dir.empty()) return {};
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) return {};
   const std::string prefix =
       dir + "/postmortem_c" + std::to_string(cycle_);
+  const std::string bundle = prefix + ".{snap,trace.json,diagnosis.txt}";
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    return bundle + " NOT written (cannot create directory '" + dir +
+           "': " + ec.message() + ")";
+  }
+  std::vector<std::string> failed;
   {
     // The pre-tick state of the stalled cycle: restoring it into a fresh
     // elaboration and stepping reproduces the stall.
     std::ofstream os(prefix + ".snap", std::ios::binary);
     if (os) save(os);
+    if (!os) failed.push_back(prefix + ".snap");
   }
   {
     obs::TraceSession tail;
     monitor_->export_trace_tail(tail);
-    tail.write_file(prefix + ".trace.json");
+    if (!tail.write_file(prefix + ".trace.json")) {
+      failed.push_back(prefix + ".trace.json");
+    }
   }
   {
     std::ofstream os(prefix + ".diagnosis.txt");
@@ -541,8 +584,12 @@ std::string Simulator::write_postmortem(const std::string& diagnosis) const {
         os << "\nrecorded protocol violations:\n" << monitor_->report();
       }
     }
+    if (!os) failed.push_back(prefix + ".diagnosis.txt");
   }
-  return prefix + ".{snap,trace.json,diagnosis.txt}";
+  if (failed.empty()) return bundle;
+  std::string text = bundle + " (NOT written:";
+  for (const auto& path : failed) text += " " + path;
+  return text + ")";
 }
 
 void Simulator::save(std::ostream& os) const {
@@ -569,6 +616,14 @@ void Simulator::save(std::ostream& os) const {
     w.write_u8(c->tick_idle_hint_ ? 1 : 0);  // flags: bit0 = idle hint
     const std::size_t frame = w.begin_frame();
     c->save_state(w);
+    w.end_frame(frame);
+  }
+
+  w.write_u64(channel_counters_.size());
+  for (const auto& ch : channel_counters_) {
+    w.write_string(ch->name());
+    const std::size_t frame = w.begin_frame();
+    ch->save(w);
     w.end_frame(frame);
   }
   w.write_u64(kSnapshotEnd);
@@ -628,6 +683,26 @@ void Simulator::restore(std::istream& is) {
     c->tick_idle_hint_ = (flags & 1u) != 0;
     c->kernel_seed_mask_ = Component::kAllProcesses;
   }
+
+  const std::uint64_t counter_count = r.read_u64();
+  if (counter_count != channel_counters_.size()) {
+    throw SnapshotError("snapshot holds " + std::to_string(counter_count) +
+                        " counted channels but this simulator has " +
+                        std::to_string(channel_counters_.size()) +
+                        " (different circuit?)");
+  }
+  for (const auto& ch : channel_counters_) {
+    const std::string name = r.read_string();
+    if (name != ch->name()) {
+      throw SnapshotError("snapshot counted channel '" + name +
+                          "' does not match registered channel '" + ch->name() +
+                          "' (different circuit or registration order)");
+    }
+    const std::string what = "channel counters '" + name + "'";
+    const std::size_t frame = r.open_frame(what);
+    ch->load(r);
+    r.close_frame(frame, what);
+  }
   if (r.read_u64() != kSnapshotEnd) {
     throw SnapshotError("snapshot end marker missing");
   }
@@ -638,7 +713,7 @@ void Simulator::restore(std::istream& is) {
   cycle_ = cycle;
   // Profiler samples are scratch, like the diagnostics counters: a
   // restored run's profile covers only what it replays.
-  if (profiler_ != nullptr) profiler_->reset();
+  if (profiler_ != nullptr) profiler_->start(components_);
   // Monitor and watchdog state likewise: a restored run re-observes from
   // the snapshot point with a fresh progress window.
   if (monitor_ != nullptr) monitor_->reset();
@@ -691,6 +766,11 @@ void Simulator::step() {
         "attached; the watchdog takes its progress signal from the "
         "monitor's transfer count");
   }
+  // Channel statistics read the same settled, fault-injected handshakes
+  // the commit phase is about to latch. After the watchdog: a post-mortem
+  // snapshot then holds the counters before this cycle, like every other
+  // piece of pre-tick state, so its restore counts the cycle exactly once.
+  for (const auto& ch : channel_counters_) ch->observe(cycle_, trace_);
   clock::time_point t1{};
   if (phase_timing_) {
     t1 = clock::now();

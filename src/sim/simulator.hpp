@@ -5,7 +5,12 @@
 //      Non-convergence within the settle limit raises
 //      CombinationalLoopError.
 //   2. observe: invoke registered per-cycle observers on the settled state.
-//   3. commit: run tick() (the clock edge).
+//   3. inject: an attached FaultInjector overrides settled wires.
+//   4. check: an attached ProtocolMonitor and the watchdog (read-only).
+//   5. count: update the ChannelCounters of every channel registered with
+//      count_transfers (and an attached trace's transfer track) from the
+//      settled, fault-injected handshakes.
+//   6. commit: run tick() (the clock edge).
 //
 // This reproduces synchronous RTL semantics at cycle granularity, which is
 // the level at which the paper's protocol properties are defined.
@@ -77,12 +82,14 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "sim/channel_counters.hpp"
 #include "sim/component.hpp"
 #include "sim/types.hpp"
 #include "sim/wire.hpp"
@@ -167,22 +174,42 @@ class Simulator {
   /// before the clock edge.
   void on_cycle(std::function<void(Cycle)> fn) { observers_.push_back(std::move(fn)); }
 
-  /// Resets all components and the cycle counter.
+  // --- channel transfer counters ---------------------------------------------
+  /// Registers a single-thread channel (Word payload) for transfer
+  /// counting and returns its counter block, which the simulator owns
+  /// and updates every step() (see sim/channel_counters.hpp). `name`
+  /// labels the channel.<name>.* metric rows and the trace's transfer
+  /// events. The wires must outlive the simulator's stepping.
+  ChannelCounters& count_transfers(std::string name, const Wire<bool>& valid,
+                                   const Wire<bool>& ready,
+                                   const Wire<std::uint64_t>& data);
+
+  /// Multithreaded variant: `valid_words` is the channel's packed
+  /// per-thread valid mask (MtChannel::valid_mask), `ready` one wire per
+  /// thread.
+  ChannelCounters& count_transfers(std::string name,
+                                   std::span<const std::uint64_t> valid_words,
+                                   std::vector<const Wire<bool>*> ready,
+                                   const Wire<std::uint64_t>& data);
+
+  /// Resets all components, the channel counters and the cycle counter.
   void reset();
 
   // --- checkpointing --------------------------------------------------------
   /// Serializes the complete deterministic simulation state — settled wire
   /// values, per-component registered state (Component::save_state, each in
-  /// a CRC'd length-checked frame), tick-elision idle hints, the demotion
-  /// flag, and the cycle count — in the versioned little-endian snapshot
-  /// format (sim/snapshot.hpp). Diagnostics counters (eval/tick counts,
-  /// settle work, phase timings) are not part of the snapshot.
+  /// a CRC'd length-checked frame), channel transfer counters, tick-elision
+  /// idle hints, the demotion flag, and the cycle count — in the versioned
+  /// little-endian snapshot format (sim/snapshot.hpp). Diagnostics
+  /// counters (eval/tick counts, settle work, phase timings) are not part
+  /// of the snapshot.
   /// Call between steps on settled state (save right after step()/run()).
   void save(std::ostream& os) const;
 
   /// Restores a snapshot written by save() into this simulator, which must
   /// hold the structurally identical circuit (same wires, same components
-  /// in the same registration order — enforced by name and count checks).
+  /// in the same registration order, same counted channels — enforced by
+  /// name and count checks).
   /// Scheduler state is NOT read from the snapshot: process slots,
   /// levelization and worklists are rematerialized by scheduling a full
   /// evaluation, exactly as reset() does — so a snapshot saved under one
@@ -259,26 +286,28 @@ class Simulator {
 
   // --- observability --------------------------------------------------------
   /// The simulator's metrics registry. The simulator itself registers one
-  /// source publishing sim.* and component.* (and, when attached, the
-  /// profiler's profile.* and the trace session's trace.*) under the
-  /// stable label scheme documented in obs/metrics.hpp. Attachments
-  /// (Elaboration channel probes, user code) add their own sources. The
-  /// registry is pull-based: nothing here costs the simulation loop
-  /// anything until snapshot() is called.
+  /// source publishing sim.*, component.* and channel.* (and, when
+  /// attached, the profiler's profile.* and the trace session's trace.*)
+  /// under the stable label scheme documented in obs/metrics.hpp. User
+  /// code may add its own sources. The registry is pull-based: nothing
+  /// here costs the simulation loop anything until snapshot() is called.
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
   /// Attaches a profiler: every stride-th eval/tick dispatch is timed and
-  /// attributed to the component's type_name(). The profiler must outlive
-  /// the attachment; detach with nullptr. Profiler state is scratch:
-  /// restore() resets it (diagnostics restart, mirroring the counters'
-  /// not-in-snapshot rule).
-  void set_profiler(obs::PhaseProfiler* profiler) noexcept { profiler_ = profiler; }
+  /// attributed to the component's type_name(). Attaching starts the
+  /// profiler's window (PhaseProfiler::start): its report then covers
+  /// the evals, ticks and seconds since this call. The profiler must
+  /// outlive the attachment; detach with nullptr. Profiler state is
+  /// scratch: restore() restarts the window (diagnostics restart,
+  /// mirroring the counters' not-in-snapshot rule).
+  void set_profiler(obs::PhaseProfiler* profiler);
   [[nodiscard]] obs::PhaseProfiler* profiler() const noexcept { return profiler_; }
 
-  /// Attaches a trace session: each step() records its phase spans and
-  /// activity (dispatched evals/ticks, elisions, demotion). Must outlive
-  /// the attachment; detach with nullptr.
+  /// Attaches a trace session: each step() records its phase spans,
+  /// activity (dispatched evals/ticks, elisions, demotion) and every
+  /// transfer on a counted channel. Must outlive the attachment; detach
+  /// with nullptr.
   void set_trace(obs::TraceSession* trace) noexcept { trace_ = trace; }
   [[nodiscard]] obs::TraceSession* trace() const noexcept { return trace_; }
 
@@ -294,8 +323,8 @@ class Simulator {
 
   /// Attaches a fault injector: each step() applies the active faults to
   /// the settled wires after the observers and before the monitor checks
-  /// (so every injected fault is visible to the monitor and the commit
-  /// phase), then forces a full re-settle so producers re-drive the truth
+  /// and the channel counters (so every injected fault is visible to them
+  /// and to the commit phase), then forces a full re-settle so producers re-drive the truth
   /// next cycle identically under both kernels. Detach with nullptr.
   void set_fault_injector(FaultInjector* injector) noexcept {
     injector_ = injector;
@@ -335,6 +364,7 @@ class Simulator {
   std::vector<Component*> components_;
   std::vector<std::shared_ptr<void>> owned_;
   std::vector<std::function<void(Cycle)>> observers_;
+  std::vector<std::unique_ptr<ChannelCounters>> channel_counters_;
   Cycle cycle_ = 0;
   std::size_t settle_limit_ = 0;  // 0 => automatic
   KernelKind kernel_ = KernelKind::kEventDriven;

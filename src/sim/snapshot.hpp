@@ -16,6 +16,9 @@
 //   per component:  string name, u8 flags (bit0 = tick idle hint),
 //                   u32 payload length + payload (Component::save_state)
 //                   + u32 CRC32 of the payload
+//   u64     counted-channel count (since version 2)
+//   per channel:    string name, u32 payload length + payload
+//                   (ChannelCounters state) + u32 CRC32 of the payload
 //   u64     end marker (kSnapshotEnd)
 //
 // The per-component framing is the loud-failure mechanism: a component
@@ -55,7 +58,7 @@ class SnapshotError : public SimulationError {
   using SimulationError::SimulationError;
 };
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr std::array<char, 8> kSnapshotMagic = {'M', 'T', 'E', 'S',
                                                        'N', 'A', 'P', '\n'};
 inline constexpr std::uint64_t kSnapshotEnd = 0x21444e4550414e53ULL;  // "SNAPEND!"

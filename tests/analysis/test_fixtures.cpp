@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -30,6 +31,11 @@ struct FixtureCase {
   std::optional<std::size_t> shared_slots;
   bool perf = false;        // run the MTE05x static throughput pass too
 };
+
+// gtest lists each case as "# GetParam() = <value>"; without this it
+// prints the raw bytes, pointers included, so the listed test names
+// would change from run to run.
+void PrintTo(const FixtureCase& c, std::ostream* os) { *os << c.golden; }
 
 // The golden base name encodes the non-default options (e.g. _oblivious,
 // _k6), so one fixture can pin several analysis configurations.

@@ -17,7 +17,6 @@
 #include "mt/reduced_meb.hpp"
 #include "sim/simulator.hpp"
 #include "stats/latency.hpp"
-#include "stats/throughput.hpp"
 
 namespace mte::mt {
 namespace {
@@ -104,8 +103,9 @@ TEST(Integration, BarrierPhasedComputeUnderBackpressure) {
   }
 }
 
-// Two-stage MEB pipeline observed with the stats module: per-thread
-// throughput symmetry and bounded in-flight latency.
+// Two-stage MEB pipeline observed with the kernel's channel counters and
+// the stats module: per-thread throughput symmetry and bounded in-flight
+// latency.
 TEST(Integration, StatsInstrumentation) {
   const std::size_t threads = 4;
   sim::Simulator s;
@@ -116,25 +116,21 @@ TEST(Integration, StatsInstrumentation) {
   for (std::size_t t = 0; t < threads; ++t) {
     src.set_generator(t, [t](std::uint64_t i) { return t * 100000 + i; });
   }
-  stats::ThroughputMeter meter(threads);
+  const sim::ChannelCounters& out = count_transfers(s, c2);
   stats::LatencyTracker latency;
   s.on_cycle([&](sim::Cycle c) {
     const std::size_t ti = c0.fired_thread();
     if (ti < threads) latency.on_inject(c0.data.get(), c);
     const std::size_t to = c2.fired_thread();
-    if (to < threads) {
-      meter.record(to);
-      latency.on_retire(c2.data.get(), c);
-    }
+    if (to < threads) latency.on_retire(c2.data.get(), c);
   });
   s.reset();
-  meter.start_window(0);
   s.run(1000);
-  meter.end_window(1000);
+  ASSERT_EQ(out.cycles(), 1000u);
   for (std::size_t t = 0; t < threads; ++t) {
-    EXPECT_NEAR(meter.rate(t), 0.25, 0.02) << "thread " << t;
+    EXPECT_NEAR(out.rate(t), 0.25, 0.02) << "thread " << t;
   }
-  EXPECT_GE(meter.total_rate(), 0.98);
+  EXPECT_GE(out.throughput(), 0.98);
   // Latency through 2 stages at 4-way sharing: small and bounded.
   EXPECT_GE(latency.histogram().min(), 2u);
   EXPECT_LE(latency.histogram().max(), 16u);

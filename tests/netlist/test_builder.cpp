@@ -154,22 +154,6 @@ TEST(Builder, ParserRejectsBadPortCounts) {
   EXPECT_THROW(b.custom("c", "k", 1u << 20, 1), BuildError);
 }
 
-TEST(Builder, ProbesCanBeDisabled) {
-  CircuitBuilder b;
-  b.source("src") >> b.buffer("b0") >> b.sink("snk");
-  ElaborationOptions no_probes;
-  no_probes.channel_probes = false;
-  Elaboration e = b.elaborate(FunctionRegistry::with_defaults(),
-                              ComponentFactory::defaults(), no_probes);
-  e.source("src").set_tokens({1, 2});
-  e.simulator().reset();
-  e.simulator().run(20);
-  EXPECT_EQ(e.sink("snk").count(), 2u);
-  EXPECT_NO_THROW((void)e.channel("b0"));  // channel lookup still works
-  EXPECT_THROW((void)e.probe("b0"), ElaborationError);
-  EXPECT_NE(e.stats_report().find("disabled"), std::string::npos);
-}
-
 TEST(Builder, BranchMergeLoopWithNamedPorts) {
   CircuitBuilder b;
   auto m = b.merge("entry", 2);

@@ -25,7 +25,6 @@ netlist::Netlist fig1_pipeline() {
 std::unique_ptr<netlist::Elaboration> elaborate(const netlist::Netlist& net,
                                                 sim::KernelKind kernel) {
   netlist::ElaborationOptions opt;
-  opt.channel_probes = true;
   opt.kernel = kernel;
   auto e = std::make_unique<netlist::Elaboration>(
       net, netlist::FunctionRegistry::with_defaults(),
@@ -138,6 +137,33 @@ TEST(ObsIntegration, RestoreResetsAttachedProfiler) {
   e->simulator().restore(is);
   EXPECT_EQ(prof.sample_count(), 0u);
   e->simulator().set_profiler(nullptr);
+}
+
+TEST(ObsIntegration, ProfilerCountsCoverOnlyTheAttachWindow) {
+  // Attached after a warm-up, the profiler reports the evals and ticks
+  // dispatched while attached — the same window its seconds cover — not
+  // the components' lifetime counts.
+  const netlist::Netlist net = fig1_pipeline();
+  auto e = elaborate(net, sim::KernelKind::kEventDriven);
+  sim::Simulator& s = e->simulator();
+  s.run(300);
+  PhaseProfiler prof;
+  s.set_profiler(&prof);
+  const std::uint64_t evals0 = s.eval_count();
+  const std::uint64_t ticks0 = s.tick_count();
+  s.run(100);
+  const ProfileReport report = prof.report(s.components());
+  s.set_profiler(nullptr);
+
+  std::uint64_t evals = 0;
+  std::uint64_t ticks = 0;
+  for (const auto& row : report.rows()) {
+    evals += row.evals;
+    ticks += row.ticks;
+  }
+  ASSERT_GT(ticks0, 0u);
+  EXPECT_EQ(ticks, s.tick_count() - ticks0);
+  EXPECT_EQ(evals, s.eval_count() - evals0);
 }
 
 TEST(ObsIntegration, ProfilerCountsAreExactAndRanked) {

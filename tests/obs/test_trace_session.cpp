@@ -5,8 +5,11 @@
 
 #include <string>
 
+#include "elastic/elastic_buffer.hpp"
+#include "elastic/sink.hpp"
+#include "elastic/source.hpp"
 #include "obs/trace_session.hpp"
-#include "sim/trace.hpp"
+#include "sim/simulator.hpp"
 
 namespace mte::obs {
 namespace {
@@ -42,17 +45,37 @@ TEST(TraceSession, CapCountsDropsInsteadOfGrowing) {
   EXPECT_NE(json.find("\"dropped_events\":3"), std::string::npos);
 }
 
-TEST(TraceSession, TransfersOverlayFromRecorder) {
-  sim::TraceRecorder rec;
-  rec.record(3, "ch0", 0, 100);
-  rec.record(4, "ch1", 1, 200);
+TEST(TraceSession, TransfersOverlayFromChannelCounters) {
+  // An attached session receives one transfer event per transfer the
+  // kernel counts on a registered channel, named after the channel and
+  // tagged with the payload.
+  sim::Simulator s;
+  elastic::Channel<std::uint64_t> in{s, "ch0"};
+  elastic::Channel<std::uint64_t> out{s, "ch1"};
+  elastic::Source<std::uint64_t> src{s, "src", in};
+  elastic::ElasticBuffer<std::uint64_t> eb{s, "eb", in, out};
+  elastic::Sink<std::uint64_t> sink{s, "sink", out};
+  src.set_generator([](std::uint64_t i) { return 100 * i; });
+  const sim::ChannelCounters& c0 = count_transfers(s, in);
+  const sim::ChannelCounters& c1 = count_transfers(s, out);
   TraceSession trace;
-  trace.add_transfers(rec);
-  EXPECT_EQ(trace.event_count(), 2u);
+  s.set_trace(&trace);
+  s.reset();
+  s.run(10);
+  s.set_trace(nullptr);
+  ASSERT_GT(c1.count(), 2u);
+
   const std::string json = trace.to_json();
-  EXPECT_NE(json.find("\"ch0\""), std::string::npos);
-  EXPECT_NE(json.find("\"ch1\""), std::string::npos);
-  EXPECT_NE(json.find("\"tag\":200"), std::string::npos);
+  std::size_t transfers = 0;
+  for (std::size_t at = json.find("\"tid\":3,\"name\":\"ch");
+       at != std::string::npos; at = json.find("\"tid\":3,\"name\":\"ch", at + 1)) {
+    ++transfers;
+  }
+  EXPECT_EQ(transfers, c0.count() + c1.count());
+  EXPECT_GE(trace.event_count(), 3u * 10u + transfers);
+  EXPECT_NE(json.find("\"name\":\"ch0\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"ch1\""), std::string::npos);
+  EXPECT_NE(json.find("\"tag\":200}"), std::string::npos);
 }
 
 TEST(TraceSession, DemotionMarksFirstCycleOnly) {

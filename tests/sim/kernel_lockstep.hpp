@@ -2,7 +2,8 @@
 // the naive reference kernel and the event-driven worklist kernel, drives
 // both with an identical (deterministic) workload, and asserts after every
 // cycle that all channel wires carry identical values — then, at the end
-// of the run, that cycle counters and per-channel probe statistics match.
+// of the run, that cycle counters and every channel's transfer counters
+// (sim::ChannelCounters) match.
 //
 // Shared by test_kernel_equivalence.cpp (curated circuits) and
 // test_kernel_fuzz.cpp (random netlists).
@@ -50,7 +51,6 @@ struct BisectReport {
 
 struct LockstepOptions {
   sim::Cycle cycles = 2000;
-  bool channel_probes = true;
   /// Skip (instead of fail) circuits whose settle diverges under either
   /// kernel — used by the fuzzer, whose random structures cannot rule out
   /// oscillating combinational cycles entirely.
@@ -116,33 +116,33 @@ inline ::testing::AssertionResult channels_equal(
   return ::testing::AssertionSuccess();
 }
 
-/// End-of-run probe statistics comparison (transfer counts per thread,
+/// End-of-run channel counter comparison (transfer counts per thread,
 /// observed cycles, backpressure wait statistics).
-inline ::testing::AssertionResult probes_equal(
+inline ::testing::AssertionResult counters_equal(
     Elaboration& ref, Elaboration& dut, const std::vector<std::string>& names) {
   for (const auto& name : names) {
     auto& a = ref.probe(name);
     auto& b = dut.probe(name);
     if (a.cycles() != b.cycles()) {
       return ::testing::AssertionFailure()
-             << "probe '" << name << "' cycles: naive=" << a.cycles()
+             << "channel '" << name << "' cycles: naive=" << a.cycles()
              << " event=" << b.cycles();
     }
     for (std::size_t t = 0; t < a.threads(); ++t) {
       if (a.count(t) != b.count(t)) {
         return ::testing::AssertionFailure()
-               << "probe '" << name << "' count(" << t << "): naive=" << a.count(t)
+               << "channel '" << name << "' count(" << t << "): naive=" << a.count(t)
                << " event=" << b.count(t);
       }
     }
     if (a.mean_wait() != b.mean_wait()) {
       return ::testing::AssertionFailure()
-             << "probe '" << name << "' mean_wait: naive=" << a.mean_wait()
+             << "channel '" << name << "' mean_wait: naive=" << a.mean_wait()
              << " event=" << b.mean_wait();
     }
     if (a.throughput() != b.throughput()) {
       return ::testing::AssertionFailure()
-             << "probe '" << name << "' throughput: naive=" << a.throughput()
+             << "channel '" << name << "' throughput: naive=" << a.throughput()
              << " event=" << b.throughput();
     }
   }
@@ -157,7 +157,6 @@ inline std::unique_ptr<Elaboration> bisect_elab(
     sim::KernelKind kernel, const std::function<void(Elaboration&)>& configure,
     const std::string& snapshot) {
   netlist::ElaborationOptions eopt;
-  eopt.channel_probes = opt.channel_probes;
   eopt.kernel = kernel;
   eopt.arbiter = opt.arbiter;
   auto e = std::make_unique<Elaboration>(net, registry, factory, eopt);
@@ -228,7 +227,6 @@ inline bool run_lockstep(const Netlist& net,
   sim::ProtocolMonitor ref_monitor;
   sim::ProtocolMonitor dut_monitor;
   netlist::ElaborationOptions ref_opt;
-  ref_opt.channel_probes = opt.channel_probes;
   ref_opt.kernel = sim::KernelKind::kNaive;
   ref_opt.arbiter = opt.arbiter;
   netlist::ElaborationOptions dut_opt = ref_opt;
@@ -319,12 +317,10 @@ inline bool run_lockstep(const Netlist& net,
       return false;
     }
   }
-  if (opt.channel_probes) {
-    const auto stats = probes_equal(*ref, *dut, names);
-    if (!stats) {
-      ADD_FAILURE() << stats.message() << " after " << opt.cycles << " cycles";
-      return false;
-    }
+  const auto stats = counters_equal(*ref, *dut, names);
+  if (!stats) {
+    ADD_FAILURE() << stats.message() << " after " << opt.cycles << " cycles";
+    return false;
   }
   return !::testing::Test::HasFailure();
 }

@@ -18,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "netlist/elaborate.hpp"
 #include "netlist/netlist.hpp"
@@ -359,6 +360,11 @@ TEST(Watchdog, DeadlockBundleNamesCycleAndRoundTrips) {
   std::ifstream snap(prefix + ".snap", std::ios::binary);
   ASSERT_TRUE(snap.is_open());
   fresh.sim().restore(snap);
+  // The bundle holds the stalled cycle's pre-tick state, channel counters
+  // included: they have counted every cycle before it, none after.
+  for (const auto& name : fresh.elab->channel_names()) {
+    EXPECT_EQ(fresh.elab->probe(name).cycles(), fresh.sim().now()) << name;
+  }
   fresh.sim().set_watchdog(40);
   try {
     fresh.sim().run(100);
@@ -366,6 +372,50 @@ TEST(Watchdog, DeadlockBundleNamesCycleAndRoundTrips) {
   } catch (const sim::WatchdogError& ex) {
     EXPECT_NE(ex.diagnosis().find("'j'"), std::string::npos) << ex.diagnosis();
   }
+}
+
+TEST(Watchdog, UnwritableBundleIsNamedInTheError) {
+  // A post-mortem bundle that cannot be written must say so in the
+  // WatchdogError text, naming every file that is missing.
+  const Netlist net = join_cycle_netlist();
+  const auto fire = [&net](const std::string& dir) {
+    Rig rig(net, sim::KernelKind::kEventDriven);
+    rig.elab->source("src").set_generator([](std::uint64_t i) { return i; });
+    rig.sim().set_watchdog(40, dir);
+    rig.sim().reset();
+    try {
+      rig.sim().run(200);
+    } catch (const sim::WatchdogError& ex) {
+      return std::make_pair(rig.sim().now(), std::string(ex.what()));
+    }
+    ADD_FAILURE() << "structural deadlock did not trip the watchdog";
+    return std::make_pair(sim::Cycle{0}, std::string());
+  };
+
+  // The directory cannot be created: its parent is a regular file.
+  const std::string base = ::testing::TempDir() + "mte_postmortem_unwritable";
+  std::filesystem::remove_all(base);
+  std::filesystem::create_directories(base);
+  std::ofstream(base + "/file") << "x";
+  const auto [cycle, text] = fire(base + "/file/bundle");
+  EXPECT_NE(text.find("NOT written"), std::string::npos) << text;
+  EXPECT_NE(text.find(base + "/file/bundle"), std::string::npos) << text;
+
+  // Two of the three files cannot be opened: directories sit at their
+  // paths. The error names exactly those two.
+  const std::string dir = base + "/partial";
+  const std::string prefix = dir + "/postmortem_c" + std::to_string(cycle);
+  std::filesystem::create_directories(prefix + ".snap");
+  std::filesystem::create_directories(prefix + ".diagnosis.txt");
+  const auto [again, partial] = fire(dir);
+  ASSERT_EQ(again, cycle);
+  EXPECT_NE(partial.find("NOT written: " + prefix + ".snap " + prefix +
+                         ".diagnosis.txt)"),
+            std::string::npos)
+      << partial;
+  EXPECT_EQ(partial.find(prefix + ".trace.json "), std::string::npos) << partial;
+  EXPECT_TRUE(std::filesystem::is_regular_file(prefix + ".trace.json"));
+  std::filesystem::remove_all(base);
 }
 
 }  // namespace

@@ -3,16 +3,16 @@
 //    on every curated circuit under both kernels (reset() completeness);
 //  - resume equivalence: a restored simulator must be cycle-for-cycle
 //    wire-identical to the straight run it resumes, end with a
-//    byte-identical snapshot and identical probe statistics;
+//    byte-identical snapshot and identical channel counters;
 //  - cross-kernel restore: a snapshot taken under the naive kernel must
 //    restore under the event-driven kernel (and vice versa) because
 //    restore rematerializes scheduler state instead of trusting it;
 //  - malformed snapshots (bad magic/version, truncation, trailing bytes,
 //    payload corruption, wrong circuit) must be rejected loudly;
 //  - trace observers restart empty after a restore, with event cycles
-//    continuing from the snapshot cycle (documented semantics: the
-//    TraceRecorder is external to the simulator and is NOT checkpointed,
-//    unlike ChannelProbe statistics which restore with the snapshot).
+//    continuing from the snapshot cycle (documented semantics: a
+//    TraceSession is external to the simulator and is NOT checkpointed,
+//    unlike the channel counters, which restore with the snapshot).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -22,11 +22,11 @@
 #include <vector>
 
 #include "elastic/elastic_buffer.hpp"
-#include "elastic/probe.hpp"
 #include "elastic/sink.hpp"
 #include "elastic/source.hpp"
 #include "kernel_lockstep.hpp"
 #include "md5/md5_circuit.hpp"
+#include "obs/trace_session.hpp"
 #include "sim/snapshot.hpp"
 #include "snapshot_circuits.hpp"
 
@@ -34,7 +34,7 @@ namespace {
 
 using namespace mte;
 using kerneltest::channels_equal;
-using kerneltest::probes_equal;
+using kerneltest::counters_equal;
 using netlist::Elaboration;
 using snaptest::SnapshotCase;
 using snaptest::snapshot_cases;
@@ -120,7 +120,7 @@ TEST(SnapshotRestore, ResumeMatchesStraightRun) {
           return;
         }
       }
-      EXPECT_TRUE(probes_equal(*straight, *resumed, names));
+      EXPECT_TRUE(counters_equal(*straight, *resumed, names));
       EXPECT_EQ(snapshot_of(straight->simulator()), snapshot_of(resumed->simulator()))
           << "resumed run diverged from the straight run it restored";
     }
@@ -272,59 +272,73 @@ TEST(SnapshotRestore, Md5DigestCrossCheck) {
 namespace tracetest {
 
 struct Rig {
-  explicit Rig(sim::TraceRecorder& rec) : probe(s, out, rec, [](std::uint64_t v) {
-    return v;
-  }) {}
+  Rig() {
+    count_transfers(s, out);
+    s.set_trace(&trace);
+  }
+  obs::TraceSession trace;  // outlives the simulator that points at it
   sim::Simulator s;
   elastic::Channel<std::uint64_t> in{s, "in"};
   elastic::Channel<std::uint64_t> out{s, "out"};
   elastic::Source<std::uint64_t> src{s, "src", in};
   elastic::ElasticBuffer<std::uint64_t> eb{s, "eb", in, out};
   elastic::Sink<std::uint64_t> sink{s, "sink", out};
-  elastic::Probe<std::uint64_t> probe;
 };
+
+/// The trace's transfer events (tid 3), rendered, with their cycle stamps.
+std::vector<std::pair<sim::Cycle, std::string>> transfer_events(
+    const obs::TraceSession& trace) {
+  const std::string json = trace.to_json();
+  const std::string head = "{\"ph\":\"i\",\"pid\":1,\"tid\":3,";
+  std::vector<std::pair<sim::Cycle, std::string>> out;
+  for (std::size_t at = json.find(head); at != std::string::npos;
+       at = json.find(head, at + 1)) {
+    const std::string event = json.substr(at, json.find("}}", at) + 2 - at);
+    const std::size_t ts = event.find("\"ts\":") + 5;
+    out.emplace_back(std::stoull(event.substr(ts)) / 1000, event);
+  }
+  return out;
+}
 
 }  // namespace tracetest
 
 TEST(SnapshotRestore, TraceObserversRestartEmptyWithContinuedCycles) {
-  sim::TraceRecorder full;
-  tracetest::Rig straight(full);
+  tracetest::Rig straight;
   straight.src.set_generator([](std::uint64_t i) { return i; });
   straight.sink.set_rate(0.7, 9);
   straight.s.reset();
   step_n(straight.s, 120);
 
-  sim::TraceRecorder warm_rec;
-  tracetest::Rig warm(warm_rec);
+  tracetest::Rig warm;
   warm.src.set_generator([](std::uint64_t i) { return i; });
   warm.sink.set_rate(0.7, 9);
   warm.s.reset();
   step_n(warm.s, 60);
   const std::string snap = snapshot_of(warm.s);
 
-  sim::TraceRecorder tail_rec;
-  tracetest::Rig resumed(tail_rec);
+  tracetest::Rig resumed;
   resumed.src.set_generator([](std::uint64_t i) { return i; });
   resumed.sink.set_rate(0.7, 9);
   resumed.s.reset();
   restore_from(resumed.s, snap);
-  EXPECT_TRUE(tail_rec.events().empty()) << "restore must not synthesize trace events";
+  EXPECT_EQ(resumed.trace.event_count(), 0u) << "restore must not synthesize trace events";
   step_n(resumed.s, 60);
 
-  // The restarted recorder holds exactly the straight run's events after
+  // The restarted trace holds exactly the straight run's transfers after
   // the snapshot point, with their original (continued) cycle stamps.
-  // tick() fires while now() is still the pre-increment cycle, so the
-  // first step after a restore at cycle 60 records events stamped 60.
-  std::vector<sim::TransferEvent> expected;
-  for (const auto& ev : full.events()) {
-    if (ev.cycle >= 60) expected.push_back(ev);
+  // The counters observe while now() is still the pre-increment cycle,
+  // so the first step after a restore at cycle 60 records events stamped 60.
+  std::vector<std::pair<sim::Cycle, std::string>> expected;
+  for (const auto& ev : tracetest::transfer_events(straight.trace)) {
+    if (ev.first >= 60) expected.push_back(ev);
   }
-  EXPECT_EQ(tail_rec.events(), expected);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(tracetest::transfer_events(resumed.trace), expected);
 }
 
-// --- probe counters restore (not restart) ------------------------------------
+// --- channel counters restore (not restart) ------------------------------------
 
-TEST(SnapshotRestore, ChannelProbeCountersRestoreFromSnapshot) {
+TEST(SnapshotRestore, ChannelCountersRestoreFromSnapshot) {
   const auto cases = snapshot_cases();
   const auto& c = cases[1];  // fig1_backpressured: nontrivial waits
   auto a = make_elab(c, sim::KernelKind::kEventDriven);

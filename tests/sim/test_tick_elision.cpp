@@ -18,6 +18,7 @@
 #include "mt/mt_channel.hpp"
 #include "mt/mt_sink.hpp"
 #include "mt/mt_source.hpp"
+#include "netlist/builder.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -166,6 +167,37 @@ TEST(TickElision, NaiveKernelNeverElides) {
   na.s.run(100);
   EXPECT_EQ(na.eb0->kernel_tick_calls(), ticks + 100);
   EXPECT_EQ(na.s.elided_tick_count(), 0u);
+}
+
+TEST(TickElision, Fig5DefaultElaborationStaysInTheTickBudget) {
+  // The bench_sim_speed gate circuit (fig5_full, S=4, sink rate 0.75) with
+  // default ElaborationOptions — every channel counted — must stay within
+  // the gate's 6.5 ticks/cycle: channel counting costs the commit phase
+  // nothing.
+  netlist::CircuitBuilder b;
+  auto stage = b.source("src") >> b.buffer("m0") >> b.function("fu0", "inc");
+  for (int i = 1; i < 4; ++i) {
+    stage = stage >> b.buffer("m" + std::to_string(i)) >>
+            b.function("fu" + std::to_string(i), "inc");
+  }
+  stage >> b.sink("sink");
+  auto design = b.then_multithreaded(4, mt::MebKind::kFull)
+                    .elaborate(netlist::FunctionRegistry::with_defaults());
+  for (std::size_t t = 0; t < 4; ++t) {
+    design.mt_source("src").set_generator(t, [](std::uint64_t i) { return i; });
+    design.mt_sink("sink").set_rate(t, 0.75, 42);
+  }
+  sim::Simulator& s = design.simulator();
+  ASSERT_EQ(s.kernel(), sim::KernelKind::kEventDriven);
+  s.reset();
+  s.run(512);
+  const std::uint64_t ticks0 = s.tick_count();
+  constexpr sim::Cycle kCycles = 4000;
+  s.run(kCycles);
+  const double ticks_per_cycle =
+      static_cast<double>(s.tick_count() - ticks0) / static_cast<double>(kCycles);
+  EXPECT_LE(ticks_per_cycle, 6.5);
+  EXPECT_GT(design.probe("fu3").throughput(), 0.5) << "channels must be counted";
 }
 
 }  // namespace

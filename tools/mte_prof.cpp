@@ -259,36 +259,10 @@ int main(int argc, char** argv) {
 
     mte::obs::TraceSession trace(
         mte::obs::TraceSession::Options{args.trace_limit});
-    std::vector<std::pair<std::string, mte::elastic::Channel<Word>*>> st_chs;
-    std::vector<std::pair<std::string, mte::mt::MtChannel<Word>*>> mt_chs;
-    if (!args.trace_path.empty()) {
-      sim.set_trace(&trace);
-      // Transfer overlay: an observer reads each channel's settled
-      // handshake once per cycle. Observers run outside eval, so the
-      // event kernel's sensitivity discovery never sees these reads —
-      // tracing cannot perturb scheduling.
-      for (const auto& name : e.channel_names()) {
-        if (e.is_multithreaded()) {
-          mt_chs.emplace_back(name, &e.mt_channel(name));
-        } else {
-          st_chs.emplace_back(name, &e.channel(name));
-        }
-      }
-      sim.on_cycle([&](mte::sim::Cycle c) {
-        for (const auto& [name, ch] : st_chs) {
-          if (ch->valid.get() && ch->ready.get()) {
-            trace.add_transfer(c, name, 0, ch->data.get());
-          }
-        }
-        for (const auto& [name, ch] : mt_chs) {
-          for (std::size_t t = 0; t < ch->threads(); ++t) {
-            if (ch->valid(t).get() && ch->ready(t).get()) {
-              trace.add_transfer(c, name, static_cast<int>(t), ch->data.get());
-            }
-          }
-        }
-      });
-    }
+    // Every channel's transfers reach the trace from the kernel's channel
+    // counters (Simulator::step), outside eval: tracing cannot perturb
+    // scheduling.
+    if (!args.trace_path.empty()) sim.set_trace(&trace);
 
     std::optional<mte::sim::VcdWriter> vcd;
     if (!args.vcd_path.empty()) {
