@@ -1,5 +1,5 @@
 // Example: the netlist-level synthesis flow — describe a single-thread
-// elastic dataflow graph with the fluent builder, validate it, transform
+// elastic dataflow graph with the fluent builder, check it, transform
 // it to a multithreaded elastic system (the paper's central idea),
 // estimate its FPGA cost for both MEB flavours, export DOT, and simulate
 // both versions through the same description.
@@ -22,7 +22,7 @@ int main() {
   exit_test.when_false() >> entry.in(1);  // odd: loop back
   exit_test.when_true() >> b.sink("snk"); // even: exit
 
-  const netlist::Netlist n = b.build();  // build() validates structurally
+  const netlist::Netlist n = b.build();  // build() refuses analyzer errors
   std::printf("validation: clean (%zu nodes, %zu edges)\n", n.nodes().size(),
               n.edges().size());
 

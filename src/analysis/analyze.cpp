@@ -20,9 +20,11 @@ using netlist::Node;
 using netlist::NodeType;
 
 /// Storage elements cut both handshake directions in the node-granular
-/// model, matching Netlist::validate(): custom nodes are conservatively
-/// combinational, and the MT var-latency fast path (a combinational
-/// bypass) is opt-in at configuration time and invisible statically.
+/// model: custom nodes are conservatively combinational (a factory may
+/// register a pass-through unit, and a falsely accepted bufferless loop
+/// livelocks the simulator), and the MT var-latency fast path (a
+/// combinational bypass) is opt-in at configuration time and invisible
+/// statically.
 bool is_storage(NodeType t) {
   return t == NodeType::kBuffer || t == NodeType::kVarLatency;
 }
@@ -129,6 +131,16 @@ class Analyzer {
     }
     check_capacity();
     if (perf_) check_perf();
+    return AnalysisReport(std::move(out_));
+  }
+
+  /// The elaboration subset (see elaboration_errors in the header).
+  AnalysisReport run_elaboration_checks() {
+    check_names();
+    if (check_wiring()) {
+      check_comb_cycles();
+      if (reconvergence_is_hazardous()) check_reconvergence();
+    }
     return AnalysisReport(std::move(out_));
   }
 
@@ -324,11 +336,14 @@ class Analyzer {
   }
 
   // --- MTE021 + MTE031: fork/join reconvergence ---------------------------
+  bool reconvergence_is_hazardous() const {
+    return net_.is_multithreaded() && mt::is_ready_aware(opt_.arbiter);
+  }
+
   void check_reconvergence() {
     const auto& nodes = net_.nodes();
     const auto pairs = reconvergent_pairs(net_);
-    const bool hazardous =
-        net_.is_multithreaded() && mt::is_ready_aware(opt_.arbiter);
+    const bool hazardous = reconvergence_is_hazardous();
     for (const auto& pair : pairs) {
       const Node& f = nodes[pair.fork_id];
       const Node& j = nodes[pair.join_id];
@@ -515,7 +530,7 @@ class Analyzer {
           break;
         case NodeType::kCustom:
           // Conservatively a full combinational crossbar, matching
-          // validate()'s treatment of custom nodes.
+          // MTE020's treatment of custom nodes.
           for (const auto& i : in) {
             for (const auto& o : out) {
               if (!i || !o) continue;
@@ -698,6 +713,12 @@ AnalysisReport analyze(const Netlist& net, const AnalysisOptions& options) {
   return Analyzer(net, options).run();
 }
 
+AnalysisReport elaboration_errors(const Netlist& net, mt::ArbiterKind arbiter) {
+  AnalysisOptions options;
+  options.arbiter = arbiter;
+  return Analyzer(net, options).run_elaboration_checks();
+}
+
 std::vector<ReconvergentPair> reconvergent_pairs(const Netlist& net) {
   std::vector<ReconvergentPair> pairs;
   const auto& nodes = net.nodes();
@@ -767,16 +788,3 @@ std::vector<ReconvergentPair> reconvergent_pairs(const Netlist& net) {
 }
 
 }  // namespace mte::analysis
-
-// Netlist::analyze lives here (not netlist.cpp) so netlist.hpp only
-// needs forward declarations of the analysis types.
-namespace mte::netlist {
-
-analysis::AnalysisReport Netlist::analyze() const { return analysis::analyze(*this); }
-
-analysis::AnalysisReport Netlist::analyze(
-    const analysis::AnalysisOptions& options) const {
-  return analysis::analyze(*this, options);
-}
-
-}  // namespace mte::netlist

@@ -10,10 +10,10 @@
 //               fork, multiple drivers, bad edge refs, duplicate names
 //   MTE010/011  dead components: unreachable from every source /
 //               unable to reach any sink
-//   MTE020      storage-free combinational cycle (node granularity —
-//               matches Netlist::validate()'s conservative model)
+//   MTE020      storage-free combinational cycle (node granularity;
+//               custom nodes count as combinational)
 //   MTE021      multithreaded fork/join reconvergence under ready-aware
-//               arbitration (the hazard CircuitBuilder::build() rejects)
+//               arbitration
 //   MTE022      cross-component valid/ready feedback at port
 //               granularity: legal but evaluation-order dependent (the
 //               event kernel would demote on it)
@@ -70,8 +70,19 @@ struct AnalysisOptions {
 };
 
 /// Runs every check and returns the deterministic report.
+/// CircuitBuilder::build() refuses a netlist whose report has errors.
 [[nodiscard]] AnalysisReport analyze(const netlist::Netlist& net,
                                      const AnalysisOptions& options = {});
+
+/// The checks that decide whether a netlist can elaborate at all: names
+/// and wiring (MTE001-006), storage-free cycles (MTE020) and, under a
+/// ready-aware `arbiter`, multithreaded fork/join reconvergence
+/// (MTE021). The same code and diagnostics as analyze(), minus every
+/// check that cannot be an error here; Elaboration refuses a netlist
+/// whose report is not empty. Accepts what analyze() flags but a
+/// simulation can still run, e.g. the MTE030 join-feedback deadlock.
+[[nodiscard]] AnalysisReport elaboration_errors(const netlist::Netlist& net,
+                                                mt::ArbiterKind arbiter);
 
 /// A fork whose arms reconverge at a join: two or more of the join's
 /// inputs are fed through distinct paths from the same fork. Computed
@@ -83,8 +94,8 @@ struct ReconvergentPair {
   std::size_t join_id = 0;
 };
 
-/// Shared implementation behind Netlist::mt_reconvergence_hazards(),
-/// the MTE021 check and the MTE031 slack check.
+/// Shared implementation behind the MTE021 check and the MTE031 slack
+/// check.
 [[nodiscard]] std::vector<ReconvergentPair> reconvergent_pairs(
     const netlist::Netlist& net);
 

@@ -187,13 +187,14 @@ std::unique_ptr<WorkloadSession> session_fig5(const SweepPoint& p, sim::Cycle cy
 std::unique_ptr<WorkloadSession> session_deadlock(const SweepPoint& p,
                                                   sim::Cycle /*cycles*/,
                                                   std::uint64_t /*seed*/) {
+  using netlist::Node;
   netlist::Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_fork("f", 2);
-  const auto snk = n.add_sink("snk");
-  const auto b1 = n.add_buffer("b1");
+  const auto src = n.add(Node::source("src"));
+  const auto j = n.add(Node::join("j", 2));
+  const auto b0 = n.add(Node::buffer("b0"));
+  const auto f = n.add(Node::fork("f", 2));
+  const auto snk = n.add(Node::sink("snk"));
+  const auto b1 = n.add(Node::buffer("b1"));
   n.connect(src, 0, j, 0);
   n.connect(j, 0, b0, 0);
   n.connect(b0, 0, f, 0);
@@ -227,23 +228,6 @@ StaticModel netlist_fig5(const SweepPoint& p) {
   b.source("src") >> b.buffer("meb0") >> b.buffer("meb1") >> b.sink("sink");
   b.then_multithreaded(p.threads, base_kind(p.variant));
   return {b.build(), "sink"};
-}
-
-StaticModel netlist_deadlock(const SweepPoint& p) {
-  netlist::Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_fork("f", 2);
-  const auto snk = n.add_sink("snk");
-  const auto b1 = n.add_buffer("b1");
-  n.connect(src, 0, j, 0);
-  n.connect(j, 0, b0, 0);
-  n.connect(b0, 0, f, 0);
-  n.connect(f, 0, snk, 0);
-  n.connect(f, 1, b1, 0);
-  n.connect(b1, 0, j, 1);
-  return {n.to_multithreaded(p.threads, base_kind(p.variant)), "snk"};
 }
 
 WorkloadResult run_deadlock(const SweepPoint& p, sim::Cycle cycles,
@@ -370,18 +354,18 @@ const WorkloadSet& WorkloadSet::builtin() {
     s.add({"md5", "multithreaded elastic MD5 engine, run to digest completion",
            WorkloadTraits{.supports_hybrid = false, .supports_arbiter = false,
                           .supports_kernel = true},
-           run_md5});
+           run_md5, nullptr, nullptr});
     s.add({"processor",
            "multithreaded pipelined elastic processor on barrel programs",
            WorkloadTraits{.supports_hybrid = false, .supports_arbiter = false,
                           .supports_kernel = true},
-           run_processor});
+           run_processor, nullptr, nullptr});
     s.add({"deadlock",
            "intentional structural deadlock (MTE030 fixture) for watchdog "
            "quarantine testing",
            WorkloadTraits{.supports_hybrid = false, .supports_arbiter = false,
                           .supports_kernel = true},
-           run_deadlock, session_deadlock});
+           run_deadlock, session_deadlock, nullptr});
     return s;
   }();
   return set;

@@ -19,8 +19,11 @@
 // (`src1 >> join; src2 >> join;`). Explicit ports are always available:
 // `br.when_false() >> merge.in(1)`.
 //
-// The legacy Netlist::add_*/connect(id, port, id, port) methods remain as
-// a thin compatibility layer over the same construction path.
+// Underneath, every node goes through Netlist::add(Node) and every edge
+// through Netlist::connect — the raw primitive, left unchecked for
+// deliberately broken netlists. Legality is the static analyzer's call:
+// build() refuses its errors, elaborate() leaves the decision to the
+// Elaboration constructor (analysis::elaboration_errors).
 #pragma once
 
 #include <stdexcept>
@@ -139,10 +142,10 @@ class CircuitBuilder {
 
   // --- outputs ------------------------------------------------------------
   /// Returns the finished netlist (with the multithreaded transform
-  /// applied, when requested). Throws BuildError when structural
-  /// validation fails or the static analyzer reports error-severity
-  /// diagnostics (e.g. a bufferless cycle, a dangling port, a deadlocked
-  /// join loop, or multithreaded fork/join reconvergence).
+  /// applied, when requested). Throws BuildError listing the errors when
+  /// one analysis::analyze() run reports any (e.g. a bufferless cycle, a
+  /// dangling port, a deadlocked join loop, or multithreaded fork/join
+  /// reconvergence under the default arbiter).
   [[nodiscard]] Netlist build() const;
 
   /// The full static-analysis report for the netlist as described (with
@@ -152,7 +155,11 @@ class CircuitBuilder {
   [[nodiscard]] analysis::AnalysisReport analyze(
       const analysis::AnalysisOptions& options = {}) const;
 
-  /// build() + elaborate in one step.
+  /// Elaborates the netlist as described (with the multithreaded
+  /// transform applied, when requested) without build()'s analysis: the
+  /// Elaboration constructor refuses what cannot be simulated under the
+  /// chosen arbiter and throws ElaborationError, and accepts the rest —
+  /// an MTE030 deadlock included.
   [[nodiscard]] Elaboration elaborate() const;
   [[nodiscard]] Elaboration elaborate(const FunctionRegistry& registry) const;
   [[nodiscard]] Elaboration elaborate(const FunctionRegistry& registry,
@@ -174,10 +181,8 @@ class CircuitBuilder {
  private:
   NodeRef add(Node spec);
   void check_ref(const PortRef& ref) const;
-  /// build() with the MT reconvergence rejection optional: the oblivious
-  /// arbiter makes reconvergent structures legal, so elaborate() defers
-  /// that decision to Elaboration when it knows the arbiter.
-  [[nodiscard]] Netlist build_checked(bool reject_reconvergence) const;
+  /// The described netlist, transformed when then_multithreaded was set.
+  [[nodiscard]] Netlist transformed() const;
 
   Netlist netlist_;
   std::map<std::string, std::size_t> by_name_;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/analyze.hpp"
 #include "elastic/channel.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/protocol_monitor.hpp"
@@ -50,22 +51,14 @@ Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registr
 
 Elaboration::Elaboration(const Netlist& netlist, const FunctionRegistry& registry,
                          const ComponentFactory& factory, ElaborationOptions options) {
-  const auto problems = netlist.validate();
-  if (!problems.empty()) {
-    throw ElaborationError("netlist invalid: " + problems.front());
-  }
-  // Reconvergence hazards are cycles through *speculative* (ready-aware)
-  // arbitration; the oblivious TDM arbiter's grants are independent of
-  // ready, so under it the structure is acyclic and legal.
-  if (options.arbiter != mt::ArbiterKind::kOblivious) {
-    const auto hazards = netlist.mt_reconvergence_hazards();
-    if (!hazards.empty()) {
-      throw ElaborationError(
-          "multithreaded netlist is combinationally cyclic: " +
-          hazards.front().describe() +
-          " (elaborate with ArbiterKind::kOblivious to make fork/join "
-          "reconvergence safe by construction)");
-    }
+  // The analyzer's elaboration subset is the only gate: it runs before any
+  // component exists, so bad node or port references never reach the
+  // factory. Reconvergence (MTE021) is a cycle through *speculative*
+  // arbitration, so it only counts under a ready-aware arbiter.
+  const analysis::AnalysisReport errors =
+      analysis::elaboration_errors(netlist, options.arbiter);
+  if (!errors.empty()) {
+    throw ElaborationError("netlist cannot elaborate:\n" + errors.render_text());
   }
   options_ = options;
   sim_.set_kernel(options.kernel);

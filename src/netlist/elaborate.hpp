@@ -81,6 +81,11 @@ struct ElaborationOptions {
 /// for observation, and typed channel/MEB access for detailed inspection.
 class Elaboration {
  public:
+  // Both constructors first run analysis::elaboration_errors under the
+  // options' arbiter and throw ElaborationError with its [MTExxx] report
+  // when it is not empty (bad references, duplicate names, unconnected
+  // ports, bufferless cycles, hazardous MT reconvergence).
+
   /// Elaborates with the built-in primitive set.
   Elaboration(const Netlist& netlist, const FunctionRegistry& registry);
   /// Elaborates with a custom (usually extended) factory.

@@ -1,11 +1,8 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <map>
 #include <sstream>
-
-#include "analysis/analyze.hpp"
+#include <stdexcept>
 
 namespace mte::netlist {
 
@@ -99,47 +96,6 @@ std::size_t Netlist::add(Node spec) {
   return nodes_.back().id;
 }
 
-std::size_t Netlist::add_source(const std::string& name, double rate) {
-  return add(Node::source(name, rate));
-}
-
-std::size_t Netlist::add_sink(const std::string& name, double rate) {
-  return add(Node::sink(name, rate));
-}
-
-std::size_t Netlist::add_buffer(const std::string& name) {
-  return add(Node::buffer(name));
-}
-
-std::size_t Netlist::add_fork(const std::string& name, unsigned outputs) {
-  return add(Node::fork(name, outputs));
-}
-
-std::size_t Netlist::add_join(const std::string& name, unsigned inputs) {
-  return add(Node::join(name, inputs));
-}
-
-std::size_t Netlist::add_merge(const std::string& name, unsigned inputs) {
-  return add(Node::merge(name, inputs));
-}
-
-std::size_t Netlist::add_branch(const std::string& name, const std::string& predicate) {
-  return add(Node::branch(name, predicate));
-}
-
-std::size_t Netlist::add_function(const std::string& name, const std::string& fn) {
-  return add(Node::function(name, fn));
-}
-
-std::size_t Netlist::add_var_latency(const std::string& name, unsigned lo, unsigned hi) {
-  return add(Node::var_latency(name, lo, hi));
-}
-
-std::size_t Netlist::add_custom(const std::string& name, const std::string& kind,
-                                unsigned inputs, unsigned outputs) {
-  return add(Node::custom(name, kind, inputs, outputs));
-}
-
 void Netlist::connect(std::size_t from, unsigned from_port, std::size_t to,
                       unsigned to_port) {
   Edge e;
@@ -155,127 +111,6 @@ std::size_t Netlist::count(NodeType type) const {
   return static_cast<std::size_t>(
       std::count_if(nodes_.begin(), nodes_.end(),
                     [type](const Node& n) { return n.type == type; }));
-}
-
-std::vector<std::string> Netlist::validate() const {
-  std::vector<std::string> problems;
-
-  // Node names must be unique: elaboration keys channels, probes and
-  // boundary handles by name.
-  std::map<std::string, std::size_t> names_seen;
-  for (const auto& n : nodes_) {
-    const auto [it, inserted] = names_seen.emplace(n.name, n.id);
-    if (!inserted) {
-      problems.push_back("duplicate node name '" + n.name + "' (nodes " +
-                         std::to_string(it->second) + " and " + std::to_string(n.id) +
-                         ")");
-    }
-  }
-
-  // Port references and single driver/reader per port.
-  std::map<std::pair<std::size_t, unsigned>, int> out_use;
-  std::map<std::pair<std::size_t, unsigned>, int> in_use;
-  for (const auto& e : edges_) {
-    if (e.from >= nodes_.size() || e.to >= nodes_.size()) {
-      problems.push_back("edge " + std::to_string(e.id) + ": bad node id");
-      continue;
-    }
-    if (e.from_port >= nodes_[e.from].outputs) {
-      problems.push_back("edge " + std::to_string(e.id) + ": '" + nodes_[e.from].name +
-                         "' has no output port " + std::to_string(e.from_port));
-    }
-    if (e.to_port >= nodes_[e.to].inputs) {
-      problems.push_back("edge " + std::to_string(e.id) + ": '" + nodes_[e.to].name +
-                         "' has no input port " + std::to_string(e.to_port));
-    }
-    ++out_use[{e.from, e.from_port}];
-    ++in_use[{e.to, e.to_port}];
-  }
-  for (const auto& n : nodes_) {
-    for (unsigned p = 0; p < n.outputs; ++p) {
-      const int uses = out_use.count({n.id, p}) != 0 ? out_use.at({n.id, p}) : 0;
-      if (uses == 0) {
-        problems.push_back("node '" + n.name + "' output " + std::to_string(p) +
-                           " unconnected");
-      } else if (uses > 1) {
-        problems.push_back("node '" + n.name + "' output " + std::to_string(p) +
-                           " has fanout " + std::to_string(uses) + " (use a fork)");
-      }
-    }
-    for (unsigned p = 0; p < n.inputs; ++p) {
-      const int uses = in_use.count({n.id, p}) != 0 ? in_use.at({n.id, p}) : 0;
-      if (uses == 0) {
-        problems.push_back("node '" + n.name + "' input " + std::to_string(p) +
-                           " undriven");
-      } else if (uses > 1) {
-        problems.push_back("node '" + n.name + "' input " + std::to_string(p) +
-                           " has " + std::to_string(uses) + " drivers");
-      }
-    }
-  }
-
-  // Every cycle must contain at least one buffer or variable-latency unit
-  // (sequential element), otherwise the handshake forms a combinational
-  // loop. DFS over non-sequential nodes only.
-  std::vector<std::vector<std::size_t>> adj(nodes_.size());
-  for (const auto& e : edges_) {
-    if (e.from < nodes_.size() && e.to < nodes_.size()) adj[e.from].push_back(e.to);
-  }
-  auto sequential = [this](std::size_t id) {
-    const NodeType t = nodes_[id].type;
-    // Custom nodes are conservatively treated as combinational: a factory
-    // may register a pass-through unit, and a falsely-accepted bufferless
-    // loop livelocks the simulator. Loops through custom nodes therefore
-    // need an explicit buffer (or var_latency) on the path.
-    return t == NodeType::kBuffer || t == NodeType::kVarLatency;
-  };
-  enum class Mark { kWhite, kGray, kBlack };
-  std::vector<Mark> mark(nodes_.size(), Mark::kWhite);
-  bool comb_cycle = false;
-  std::function<void(std::size_t)> dfs = [&](std::size_t u) {
-    mark[u] = Mark::kGray;
-    for (std::size_t v : adj[u]) {
-      if (sequential(v)) continue;  // a buffer cuts the combinational path
-      if (mark[v] == Mark::kGray) {
-        comb_cycle = true;
-      } else if (mark[v] == Mark::kWhite) {
-        dfs(v);
-      }
-    }
-    mark[u] = Mark::kBlack;
-  };
-  for (std::size_t u = 0; u < nodes_.size(); ++u) {
-    if (mark[u] == Mark::kWhite && !sequential(u)) dfs(u);
-  }
-  if (comb_cycle) {
-    problems.push_back("combinational cycle: some feedback path has no buffer");
-  }
-
-  return problems;
-}
-
-std::string ReconvergenceHazard::describe() const {
-  return "fork '" + fork + "' reconverges at join '" + join +
-         "': in a multithreaded netlist the M-Join couples each input's ready "
-         "to the peer input's valid while speculative MEB arbitration couples "
-         "valid back to downstream ready, so the reconvergent paths form a "
-         "combinational valid/ready cycle; restructure the graph (e.g. join "
-         "the arms before the multithreaded region) or keep it single-thread";
-}
-
-// Re-expressed on the static analyzer's shared implementation: the
-// ancestry scan lives in analysis::reconvergent_pairs (also behind the
-// MTE021 and MTE031 checks); this wrapper keeps the multithreaded gate
-// and the structured-exception API that Elaboration and callers rely on.
-std::vector<ReconvergenceHazard> Netlist::mt_reconvergence_hazards() const {
-  std::vector<ReconvergenceHazard> hazards;
-  if (!multithreaded_) return hazards;
-  for (const auto& pair : analysis::reconvergent_pairs(*this)) {
-    hazards.push_back(ReconvergenceHazard{pair.fork_id, pair.join_id,
-                                          nodes_[pair.fork_id].name,
-                                          nodes_[pair.join_id].name});
-  }
-  return hazards;
 }
 
 std::string Netlist::to_dot() const {

@@ -1,6 +1,7 @@
 #include "netlist/text_format.hpp"
 
 #include <map>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -79,6 +80,64 @@ std::pair<std::string, unsigned> parse_endpoint(const std::string& tok, int line
   }
 }
 
+/// The node type whose keyword (to_string) is `kw`, if any.
+std::optional<NodeType> node_type_of(const std::string& kw) {
+  for (int t = 0; t <= static_cast<int>(NodeType::kCustom); ++t) {
+    const auto type = static_cast<NodeType>(t);
+    if (kw == to_string(type)) return type;
+  }
+  return std::nullopt;
+}
+
+/// One node statement: `<keyword> <name> <attributes...>`.
+Node parse_node(NodeType type, const std::vector<std::string>& toks, int line) {
+  const std::string kw = to_string(type);
+  auto want = [&](std::size_t count) {
+    if (toks.size() != count) {
+      fail(line, kw + ": expected " + std::to_string(count - 1) + " arguments");
+    }
+  };
+  switch (type) {
+    case NodeType::kSource:
+    case NodeType::kSink: {
+      if (toks.size() < 2 || toks.size() > 3) fail(line, kw + " <name> [rate=r]");
+      const double rate = toks.size() == 3 ? parse_rate(toks[2], line) : 1.0;
+      return type == NodeType::kSource ? Node::source(toks[1], rate)
+                                     : Node::sink(toks[1], rate);
+    }
+    case NodeType::kBuffer:
+      want(2);
+      return Node::buffer(toks[1]);
+    case NodeType::kFork:
+    case NodeType::kJoin:
+    case NodeType::kMerge: {
+      want(3);
+      const unsigned arity = parse_arity(toks[2], line);
+      if (arity < 2) fail(line, kw + " arity must be >= 2");
+      if (type == NodeType::kFork) return Node::fork(toks[1], arity);
+      return type == NodeType::kJoin ? Node::join(toks[1], arity) : Node::merge(toks[1], arity);
+    }
+    case NodeType::kBranch:
+      want(3);
+      return Node::branch(toks[1], toks[2]);
+    case NodeType::kFunction:
+      want(3);
+      return Node::function(toks[1], toks[2]);
+    case NodeType::kVarLatency: {
+      want(4);
+      const auto lo = static_cast<unsigned>(parse_uint(toks[2], line, 1u << 20, "latency"));
+      const auto hi = static_cast<unsigned>(parse_uint(toks[3], line, 1u << 20, "latency"));
+      if (lo == 0 || hi < lo) fail(line, "bad latency range");
+      return Node::var_latency(toks[1], lo, hi);
+    }
+    case NodeType::kCustom:
+      want(5);
+      return Node::custom(toks[1], toks[2], parse_arity(toks[3], line),
+                          parse_arity(toks[4], line));
+  }
+  fail(line, "unknown keyword '" + kw + "'");
+}
+
 }  // namespace
 
 Netlist parse_netlist(const std::string& text) {
@@ -105,11 +164,6 @@ Netlist parse_netlist(const std::string& text) {
     const auto toks = tokenize(raw);
     if (toks.empty()) continue;
     const std::string& kw = toks[0];
-    auto want = [&](std::size_t count) {
-      if (toks.size() != count) {
-        fail(line_no, kw + ": expected " + std::to_string(count - 1) + " arguments");
-      }
-    };
     if (kw == "threads") {
       if (toks.size() < 2 || toks.size() > 3) fail(line_no, "threads <n> [full|reduced]");
       threads = parse_uint(toks[1], line_no, 1u << 20, "thread count");
@@ -120,41 +174,9 @@ Netlist parse_netlist(const std::string& text) {
         else if (toks[2] == "reduced") kind = mt::MebKind::kReduced;
         else fail(line_no, "expected full or reduced, got '" + toks[2] + "'");
       }
-    } else if (kw == "source" || kw == "sink") {
-      if (toks.size() < 2 || toks.size() > 3) fail(line_no, kw + " <name> [rate=r]");
-      const double rate = toks.size() == 3 ? parse_rate(toks[2], line_no) : 1.0;
-      declare(toks[1],
-              kw == "source" ? n.add_source(toks[1], rate) : n.add_sink(toks[1], rate),
-              line_no);
-    } else if (kw == "buffer") {
-      want(2);
-      declare(toks[1], n.add_buffer(toks[1]), line_no);
-    } else if (kw == "fork" || kw == "join" || kw == "merge") {
-      want(3);
-      const unsigned arity = parse_arity(toks[2], line_no);
-      if (arity < 2) fail(line_no, kw + " arity must be >= 2");
-      std::size_t id = 0;
-      if (kw == "fork") id = n.add_fork(toks[1], arity);
-      else if (kw == "join") id = n.add_join(toks[1], arity);
-      else id = n.add_merge(toks[1], arity);
-      declare(toks[1], id, line_no);
-    } else if (kw == "branch") {
-      want(3);
-      declare(toks[1], n.add_branch(toks[1], toks[2]), line_no);
-    } else if (kw == "function") {
-      want(3);
-      declare(toks[1], n.add_function(toks[1], toks[2]), line_no);
-    } else if (kw == "var_latency") {
-      want(4);
-      const auto lo = static_cast<unsigned>(parse_uint(toks[2], line_no, 1u << 20, "latency"));
-      const auto hi = static_cast<unsigned>(parse_uint(toks[3], line_no, 1u << 20, "latency"));
-      if (lo == 0 || hi < lo) fail(line_no, "bad latency range");
-      declare(toks[1], n.add_var_latency(toks[1], lo, hi), line_no);
-    } else if (kw == "custom") {
-      want(5);
-      const unsigned ins = parse_arity(toks[3], line_no);
-      const unsigned outs = parse_arity(toks[4], line_no);
-      declare(toks[1], n.add_custom(toks[1], toks[2], ins, outs), line_no);
+    } else if (const auto type = node_type_of(kw)) {
+      const std::size_t id = n.add(parse_node(*type, toks, line_no));
+      declare(n.node(id).name, id, line_no);
     } else if (kw == "connect") {
       // "connect a:0 -> b:1" or "connect a:0 b:1".
       if (toks.size() != 3 && !(toks.size() == 4 && toks[2] == "->")) {
@@ -181,22 +203,18 @@ std::string serialize_netlist(const Netlist& netlist) {
        << (netlist.meb_kind() == mt::MebKind::kFull ? "full" : "reduced") << '\n';
   }
   for (const auto& n : netlist.nodes()) {
+    os << to_string(n.type) << ' ' << n.name;
     switch (n.type) {
-      case NodeType::kSource: os << "source " << n.name << " rate=" << n.rate; break;
-      case NodeType::kSink: os << "sink " << n.name << " rate=" << n.rate; break;
-      case NodeType::kBuffer: os << "buffer " << n.name; break;
-      case NodeType::kFork: os << "fork " << n.name << ' ' << n.outputs; break;
-      case NodeType::kJoin: os << "join " << n.name << ' ' << n.inputs; break;
-      case NodeType::kMerge: os << "merge " << n.name << ' ' << n.inputs; break;
-      case NodeType::kBranch: os << "branch " << n.name << ' ' << n.fn; break;
-      case NodeType::kFunction: os << "function " << n.name << ' ' << n.fn; break;
-      case NodeType::kVarLatency:
-        os << "var_latency " << n.name << ' ' << n.latency_lo << ' ' << n.latency_hi;
-        break;
-      case NodeType::kCustom:
-        os << "custom " << n.name << ' ' << n.fn << ' ' << n.inputs << ' '
-           << n.outputs;
-        break;
+      case NodeType::kSource:
+      case NodeType::kSink: os << " rate=" << n.rate; break;
+      case NodeType::kBuffer: break;
+      case NodeType::kFork: os << ' ' << n.outputs; break;
+      case NodeType::kJoin:
+      case NodeType::kMerge: os << ' ' << n.inputs; break;
+      case NodeType::kBranch:
+      case NodeType::kFunction: os << ' ' << n.fn; break;
+      case NodeType::kVarLatency: os << ' ' << n.latency_lo << ' ' << n.latency_hi; break;
+      case NodeType::kCustom: os << ' ' << n.fn << ' ' << n.inputs << ' ' << n.outputs; break;
     }
     os << '\n';
   }

@@ -13,9 +13,11 @@
 //   branch  br   even          # predicate name
 //   function fu  square        # function name
 //   var_latency v 1 4          # latency range [1, 4]
+//   custom  c    kind 1 1      # factory kind, inputs, outputs
 //   connect in:0 -> b0:0
 //
-// Node statements must precede the connect statements that use them.
+// Node keywords are the NodeType names (to_string). Node statements must
+// precede the connect statements that use them.
 #pragma once
 
 #include <stdexcept>

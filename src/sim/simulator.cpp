@@ -37,12 +37,6 @@ Component::~Component() {
   if (sim_ != nullptr) sim_->unregister_component(*this);
 }
 
-void Component::set_process_split(bool enabled) {
-  if (process_split_ == enabled) return;
-  process_split_ = enabled;
-  if (sim_ != nullptr) sim_->invalidate_processes(*this);
-}
-
 Simulator::Simulator(KernelKind kernel) : kernel_(kernel) {
   tracker_.set_event_mode(kernel_ == KernelKind::kEventDriven);
   // The registry outlives nothing that feeds this source: the lambda reads
@@ -138,11 +132,6 @@ void Simulator::unregister_component(Component& c) noexcept {
   if (tearing_down_) return;
   const auto it = std::find(components_.begin(), components_.end(), &c);
   if (it != components_.end()) components_.erase(it);
-  invalidate_processes(c);
-  seq_cache_valid_ = false;
-}
-
-void Simulator::invalidate_processes(Component& c) noexcept {
   // Pending bucket entries may point into c's slots: drain them first
   // (forget() only scrubs the tracker-side worklist).
   clear_pending();
@@ -150,6 +139,7 @@ void Simulator::invalidate_processes(Component& c) noexcept {
   c.kernel_procs_.reset();
   c.kernel_proc_count_ = 0;
   c.kernel_seed_mask_ = Component::kAllProcesses;
+  seq_cache_valid_ = false;
   levels_valid_ = false;
   full_eval_pending_ = true;
 }

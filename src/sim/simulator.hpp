@@ -136,11 +136,6 @@ class Simulator {
   /// it. Called automatically by the Component dtor.
   void unregister_component(Component& c) noexcept;
 
-  /// Drops the materialized process slots (and every sensitivity record)
-  /// of `c` so the next settle re-materializes them — called when a
-  /// component's process layout changes (Component::set_process_split).
-  void invalidate_processes(Component& c) noexcept;
-
   /// The registered components, in registration order.
   [[nodiscard]] const std::vector<Component*>& components() const noexcept {
     return components_;

@@ -1,5 +1,7 @@
 // Per-code tests of the static netlist analyzer: each check is driven
-// through a minimal programmatic netlist, plus the arbiter/option
+// through a minimal programmatic netlist (CircuitBuilder's unchecked
+// netlist() for shapes it can describe, raw Netlist::add for the
+// miswirings it refuses outright), plus the arbiter/option
 // sensitivity that distinguishes the MT protocol checks (MTE021-023)
 // from the structural ones. Fixture goldens (test_fixtures.cpp) pin the
 // rendered output for the same shapes.
@@ -17,7 +19,9 @@ using namespace mte;
 using analysis::AnalysisOptions;
 using analysis::AnalysisReport;
 using analysis::analyze;
+using netlist::CircuitBuilder;
 using netlist::Netlist;
+using netlist::Node;
 
 std::size_t count_code(const AnalysisReport& report, const std::string& code) {
   std::size_t n = 0;
@@ -33,45 +37,27 @@ bool has_code(const AnalysisReport& report, const std::string& code) {
 
 /// src -> b0 -> snk, the smallest clean pipeline.
 Netlist clean_pipeline() {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto b0 = n.add_buffer("b0");
-  const auto snk = n.add_sink("snk");
-  n.connect(src, 0, b0, 0);
-  n.connect(b0, 0, snk, 0);
-  return n;
+  CircuitBuilder b;
+  b.source("src") >> b.buffer("b0") >> b.sink("snk");
+  return b.netlist();
 }
 
 /// fork -> {arm a with `buffers_a` EBs, arm b with `buffers_b` EBs} -> join.
 Netlist diamond(unsigned buffers_a, unsigned buffers_b) {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto f = n.add_fork("f", 2);
-  const auto j = n.add_join("j", 2);
-  const auto bo = n.add_buffer("bo");
-  const auto snk = n.add_sink("snk");
-  n.connect(src, 0, f, 0);
-  std::size_t tail = f;
-  unsigned tail_port = 0;
-  for (unsigned i = 0; i < buffers_a; ++i) {
-    const auto b = n.add_buffer("a" + std::to_string(i));
-    n.connect(tail, tail_port, b, 0);
-    tail = b;
-    tail_port = 0;
-  }
-  n.connect(tail, tail_port, j, 0);
-  tail = f;
-  tail_port = 1;
-  for (unsigned i = 0; i < buffers_b; ++i) {
-    const auto b = n.add_buffer("b" + std::to_string(i));
-    n.connect(tail, tail_port, b, 0);
-    tail = b;
-    tail_port = 0;
-  }
-  n.connect(tail, tail_port, j, 1);
-  n.connect(j, 0, bo, 0);
-  n.connect(bo, 0, snk, 0);
-  return n;
+  CircuitBuilder b;
+  const auto f = b.source("src") >> b.fork("f", 2);
+  const auto j = b.join("j", 2);
+  j >> b.buffer("bo") >> b.sink("snk");
+  const auto arm = [&](unsigned port, const std::string& prefix, unsigned buffers) {
+    netlist::PortRef tail = f.out(port);
+    for (unsigned i = 0; i < buffers; ++i) {
+      tail = (tail >> b.buffer(prefix + std::to_string(i))).out();
+    }
+    tail >> j;
+  };
+  arm(0, "a", buffers_a);
+  arm(1, "b", buffers_b);
+  return b.netlist();
 }
 
 TEST(Analyze, CleanPipelineHasNoDiagnostics) {
@@ -81,28 +67,24 @@ TEST(Analyze, CleanPipelineHasNoDiagnostics) {
 }
 
 TEST(Analyze, Mte001UnconnectedOutput) {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto b0 = n.add_buffer("b0");
-  n.connect(src, 0, b0, 0);  // b0's output dangles
-  const auto report = analyze(n);
+  CircuitBuilder b;
+  b.source("src") >> b.buffer("b0");  // b0's output dangles
+  const auto report = analyze(b.netlist());
   EXPECT_EQ(count_code(report, "MTE001"), 1u);
   EXPECT_TRUE(report.has_errors());
 }
 
 TEST(Analyze, Mte002UndrivenInput) {
-  Netlist n;
-  const auto b0 = n.add_buffer("b0");
-  const auto snk = n.add_sink("snk");
-  n.connect(b0, 0, snk, 0);  // b0's input is undriven
-  EXPECT_EQ(count_code(analyze(n), "MTE002"), 1u);
+  CircuitBuilder b;
+  b.buffer("b0") >> b.sink("snk");  // b0's input is undriven
+  EXPECT_EQ(count_code(analyze(b.netlist()), "MTE002"), 1u);
 }
 
 TEST(Analyze, Mte003IllegalFanout) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto s0 = n.add_sink("s0");
-  const auto s1 = n.add_sink("s1");
+  const auto src = n.add(Node::source("src"));
+  const auto s0 = n.add(Node::sink("s0"));
+  const auto s1 = n.add(Node::sink("s1"));
   n.connect(src, 0, s0, 0);
   n.connect(src, 0, s1, 0);
   const auto report = analyze(n);
@@ -112,9 +94,9 @@ TEST(Analyze, Mte003IllegalFanout) {
 
 TEST(Analyze, Mte004MultipleDrivers) {
   Netlist n;
-  const auto s0 = n.add_source("s0");
-  const auto s1 = n.add_source("s1");
-  const auto snk = n.add_sink("snk");
+  const auto s0 = n.add(Node::source("s0"));
+  const auto s1 = n.add(Node::source("s1"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(s0, 0, snk, 0);
   n.connect(s1, 0, snk, 0);
   EXPECT_EQ(count_code(analyze(n), "MTE004"), 1u);
@@ -122,23 +104,23 @@ TEST(Analyze, Mte004MultipleDrivers) {
 
 TEST(Analyze, Mte005BadEdgeReference) {
   Netlist n;
-  const auto src = n.add_source("src");
-  const auto snk = n.add_sink("snk");
+  const auto src = n.add(Node::source("src"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 3, snk, 0);  // src has one output port
   EXPECT_GE(count_code(analyze(n), "MTE005"), 1u);
 
   Netlist m;
-  m.add_source("src");
+  m.add(Node::source("src"));
   m.connect(0, 0, 99, 0);  // node 99 does not exist
   EXPECT_GE(count_code(analyze(m), "MTE005"), 1u);
 }
 
 TEST(Analyze, Mte006DuplicateName) {
   Netlist n;
-  const auto a = n.add_buffer("dup");
-  const auto b = n.add_buffer("dup");
-  const auto src = n.add_source("src");
-  const auto snk = n.add_sink("snk");
+  const auto a = n.add(Node::buffer("dup"));
+  const auto b = n.add(Node::buffer("dup"));
+  const auto src = n.add(Node::source("src"));
+  const auto snk = n.add(Node::sink("snk"));
   n.connect(src, 0, a, 0);
   n.connect(a, 0, b, 0);
   n.connect(b, 0, snk, 0);
@@ -146,47 +128,33 @@ TEST(Analyze, Mte006DuplicateName) {
 }
 
 TEST(Analyze, Mte010Mte011DeadRing) {
-  Netlist n = clean_pipeline();
-  const auto d0 = n.add_buffer("d0");
-  const auto d1 = n.add_buffer("d1");
-  n.connect(d0, 0, d1, 0);
-  n.connect(d1, 0, d0, 0);
-  const auto report = analyze(n);
+  CircuitBuilder b;
+  b.source("src") >> b.buffer("b0") >> b.sink("snk");
+  b.buffer("d0") >> b.buffer("d1") >> b.node("d0");
+  const auto report = analyze(b.netlist());
   EXPECT_EQ(count_code(report, "MTE010"), 2u);  // d0, d1 unreachable
   EXPECT_EQ(count_code(report, "MTE011"), 2u);  // d0, d1 cannot drain
   EXPECT_FALSE(report.has_errors());            // liveness is warning-only
 }
 
 TEST(Analyze, Mte020BufferlessLoop) {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto m = n.add_merge("m", 2);
-  const auto inc = n.add_function("inc", "inc");
-  const auto br = n.add_branch("br", "even");
-  const auto snk = n.add_sink("snk");
-  n.connect(src, 0, m, 0);
-  n.connect(m, 0, inc, 0);
-  n.connect(inc, 0, br, 0);
-  n.connect(br, 0, m, 1);
-  n.connect(br, 1, snk, 0);
-  EXPECT_EQ(count_code(analyze(n), "MTE020"), 1u);
+  CircuitBuilder b;
+  const auto m = b.source("src") >> b.merge("m", 2);
+  const auto br = m >> b.function("inc", "inc") >> b.branch("br", "even");
+  br.when_true() >> m;
+  br.when_false() >> b.sink("snk");
+  EXPECT_EQ(count_code(analyze(b.netlist()), "MTE020"), 1u);
 }
 
 TEST(Analyze, BufferedMergeLoopIsLegal) {
   // The same loop with one EB on the path: storage breaks MTE020, and a
   // merge re-entry (fires on either input) is not a lazy-join deadlock.
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto m = n.add_merge("m", 2);
-  const auto b = n.add_buffer("b");
-  const auto br = n.add_branch("br", "even");
-  const auto snk = n.add_sink("snk");
-  n.connect(src, 0, m, 0);
-  n.connect(m, 0, b, 0);
-  n.connect(b, 0, br, 0);
-  n.connect(br, 0, m, 1);
-  n.connect(br, 1, snk, 0);
-  const auto report = analyze(n);
+  CircuitBuilder b;
+  const auto m = b.source("src") >> b.merge("m", 2);
+  const auto br = m >> b.buffer("b") >> b.branch("br", "even");
+  br.when_true() >> m;
+  br.when_false() >> b.sink("snk");
+  const auto report = analyze(b.netlist());
   EXPECT_FALSE(has_code(report, "MTE020"));
   EXPECT_FALSE(has_code(report, "MTE030"));
   EXPECT_FALSE(report.has_errors());
@@ -214,21 +182,11 @@ TEST(Analyze, Mte022SpeculativeFeedbackWithoutFork) {
   // Two independent MEB arms reconverging on a lazy join: no (fork,
   // join) pair, so MTE021 cannot fire — the signal-graph SCC check
   // catches the same valid/ready coupling as a warning.
-  Netlist n;
-  const auto s0 = n.add_source("s0");
-  const auto s1 = n.add_source("s1");
-  const auto a = n.add_buffer("a");
-  const auto b = n.add_buffer("b");
-  const auto j = n.add_join("j", 2);
-  const auto bo = n.add_buffer("bo");
-  const auto snk = n.add_sink("snk");
-  n.connect(s0, 0, a, 0);
-  n.connect(s1, 0, b, 0);
-  n.connect(a, 0, j, 0);
-  n.connect(b, 0, j, 1);
-  n.connect(j, 0, bo, 0);
-  n.connect(bo, 0, snk, 0);
-  const Netlist mt = n.to_multithreaded(2, mt::MebKind::kFull);
+  CircuitBuilder b;
+  const auto j = b.source("s0") >> b.buffer("a") >> b.join("j", 2);
+  b.source("s1") >> b.buffer("b") >> j;
+  j >> b.buffer("bo") >> b.sink("snk");
+  const Netlist mt = b.netlist().to_multithreaded(2, mt::MebKind::kFull);
 
   const auto report = analyze(mt);
   EXPECT_FALSE(has_code(report, "MTE021"));
@@ -241,17 +199,11 @@ TEST(Analyze, Mte022SpeculativeFeedbackWithoutFork) {
 }
 
 TEST(Analyze, Mte023SingleChannelValidReadyLoop) {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto m = n.add_buffer("m");
-  const auto br = n.add_branch("br", "even");
-  const auto s0 = n.add_sink("s0");
-  const auto s1 = n.add_sink("s1");
-  n.connect(src, 0, m, 0);
-  n.connect(m, 0, br, 0);
-  n.connect(br, 0, s0, 0);
-  n.connect(br, 1, s1, 0);
-  const Netlist mt = n.to_multithreaded(2, mt::MebKind::kFull);
+  CircuitBuilder b;
+  const auto br = b.source("src") >> b.buffer("m") >> b.branch("br", "even");
+  br.when_true() >> b.sink("s0");
+  br.when_false() >> b.sink("s1");
+  const Netlist mt = b.netlist().to_multithreaded(2, mt::MebKind::kFull);
 
   const auto report = analyze(mt);
   EXPECT_EQ(count_code(report, "MTE023"), 1u);
@@ -263,20 +215,12 @@ TEST(Analyze, Mte023SingleChannelValidReadyLoop) {
 }
 
 TEST(Analyze, Mte030JoinFeedbackDeadlock) {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_fork("f", 2);
-  const auto snk = n.add_sink("snk");
-  const auto b1 = n.add_buffer("b1");
-  n.connect(src, 0, j, 0);
-  n.connect(j, 0, b0, 0);
-  n.connect(b0, 0, f, 0);
-  n.connect(f, 0, snk, 0);
-  n.connect(f, 1, b1, 0);
-  n.connect(b1, 0, j, 1);
-  const auto report = analyze(n);
+  CircuitBuilder b;
+  const auto j = b.source("src") >> b.join("j", 2);
+  const auto f = j >> b.buffer("b0") >> b.fork("f", 2);
+  f >> b.sink("snk");
+  f >> b.buffer("b1") >> j;
+  const auto report = analyze(b.netlist());
   EXPECT_EQ(count_code(report, "MTE030"), 1u);
   EXPECT_TRUE(report.has_errors());
   EXPECT_FALSE(has_code(report, "MTE020"));  // buffers give the loop storage
@@ -330,18 +274,16 @@ TEST(Analyze, Mte043SingleThreadMtDesign) {
 }
 
 TEST(Analyze, Mte044ZeroRateEndpoints) {
-  Netlist n;
-  const auto src = n.add_source("src", 0.0);
-  const auto snk = n.add_sink("snk", 0.0);
-  n.connect(src, 0, snk, 0);
-  EXPECT_EQ(count_code(analyze(n), "MTE044"), 2u);
+  CircuitBuilder b;
+  b.source("src").rate(0.0) >> b.sink("snk").rate(0.0);
+  EXPECT_EQ(count_code(analyze(b.netlist()), "MTE044"), 2u);
 }
 
 TEST(Analyze, WiringErrorsGateDeeperChecks) {
   // With a dangling edge reference the graph shape is unreliable: only
   // naming/wiring/capacity codes may appear, never the graph checks.
   Netlist n;
-  n.add_source("src");
+  n.add(Node::source("src"));
   n.connect(0, 0, 99, 0);
   const auto report = analyze(n);
   EXPECT_TRUE(has_code(report, "MTE005"));
@@ -350,10 +292,11 @@ TEST(Analyze, WiringErrorsGateDeeperChecks) {
   }
 }
 
-TEST(Analyze, NetlistMethodMatchesFreeFunction) {
-  const Netlist mt = diamond(1, 1).to_multithreaded(4, mt::MebKind::kFull);
-  const auto via_method = mt.analyze();
-  const auto via_free = analyze(mt);
+TEST(Analyze, BuilderMethodMatchesFreeFunction) {
+  CircuitBuilder b = CircuitBuilder::from(diamond(1, 1));
+  b.then_multithreaded(4, mt::MebKind::kFull);
+  const auto via_method = b.analyze();
+  const auto via_free = analyze(diamond(1, 1).to_multithreaded(4, mt::MebKind::kFull));
   ASSERT_EQ(via_method.count(), via_free.count());
   for (std::size_t i = 0; i < via_method.count(); ++i) {
     EXPECT_EQ(via_method.diagnostics()[i].code, via_free.diagnostics()[i].code);
@@ -362,21 +305,18 @@ TEST(Analyze, NetlistMethodMatchesFreeFunction) {
 
 TEST(Analyze, ReconvergentPairsMinimality) {
   // Nested diamonds: only the innermost (fork, join) pair per join is
-  // reported, matching the legacy mt_reconvergence_hazards contract.
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto f0 = n.add_fork("f0", 2);
-  const auto f1 = n.add_fork("f1", 2);
-  const auto j1 = n.add_join("j1", 2);
-  const auto j0 = n.add_join("j0", 2);
-  const auto snk = n.add_sink("snk");
-  n.connect(src, 0, f0, 0);
-  n.connect(f0, 0, f1, 0);
-  n.connect(f1, 0, j1, 0);
-  n.connect(f1, 1, j1, 1);
-  n.connect(j1, 0, j0, 0);
-  n.connect(f0, 1, j0, 1);
-  n.connect(j0, 0, snk, 0);
+  // reported, one MTE021 per divergence point.
+  CircuitBuilder b;
+  const auto f0 = b.source("src") >> b.fork("f0", 2);
+  const auto f1 = f0 >> b.fork("f1", 2);
+  const auto j1 = b.join("j1", 2);
+  const auto j0 = b.join("j0", 2);
+  f1 >> j1;
+  f1 >> j1;
+  j1 >> j0;
+  f0 >> j0;
+  j0 >> b.sink("snk");
+  const Netlist& n = b.netlist();
   const auto pairs = analysis::reconvergent_pairs(n);
   ASSERT_EQ(pairs.size(), 2u);
   // j1 pairs with f1 (not f0, which also reaches both of j1's inputs).

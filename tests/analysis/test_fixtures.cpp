@@ -28,7 +28,7 @@ struct FixtureCase {
   const char* fixture;      // file under tests/analysis/fixtures/
   const char* golden;       // basename under tests/analysis/golden/
   mt::ArbiterKind arbiter = mt::ArbiterKind::kRoundRobin;
-  std::optional<std::size_t> shared_slots;
+  std::optional<std::size_t> shared_slots = std::nullopt;
   bool perf = false;        // run the MTE05x static throughput pass too
 };
 

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "analysis/analyze.hpp"
+#include "netlist/builder.hpp"
 #include "netlist/elaborate.hpp"
 #include "netlist/fuzz.hpp"
 #include "netlist/netlist.hpp"
@@ -111,20 +112,13 @@ bool has_code(const analysis::AnalysisReport& report, const std::string& code) {
 
 /// src -> join <- (fork feedback): the MTE030 fixture shape.
 Netlist join_cycle_netlist() {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_fork("f", 2);
-  const auto snk = n.add_sink("snk");
-  const auto b1 = n.add_buffer("b1");
-  n.connect(src, 0, j, 0);
-  n.connect(j, 0, b0, 0);
-  n.connect(b0, 0, f, 0);
-  n.connect(f, 0, snk, 0);
-  n.connect(f, 1, b1, 0);
-  n.connect(b1, 0, j, 1);
-  return n;
+  // build() refuses MTE030, so take the unchecked netlist.
+  netlist::CircuitBuilder b;
+  const auto j = b.source("src") >> b.join("j", 2);
+  const auto f = j >> b.buffer("b0") >> b.fork("f", 2);
+  f >> b.sink("snk");
+  f >> b.buffer("b1") >> j;
+  return b.netlist();
 }
 
 TEST(LintVsSim, CleanFuzzNetlistsMakeProgressOnBothKernels) {
@@ -151,7 +145,9 @@ TEST(LintVsSim, CleanFuzzNetlistsMakeProgressOnBothKernels) {
     EXPECT_GT(event.transfers, 0u) << "event kernel made no progress";
     // No statically-detected valid/ready coupling => the event kernel
     // must not have fallen back to naive settling.
-    if (!coupled) EXPECT_FALSE(event.demoted);
+    if (!coupled) {
+      EXPECT_FALSE(event.demoted);
+    }
   }
 }
 
@@ -242,7 +238,9 @@ TEST(LintVsSim, CleanFuzzNetlistsDoNotTripTheWatchdog) {
     const Netlist net = netlist::random_fuzz_netlist(rng, has_mt_join);
     const mt::ArbiterKind arbiter =
         has_mt_join ? mt::ArbiterKind::kOblivious : mt::ArbiterKind::kRoundRobin;
-    ASSERT_FALSE(analysis::analyze(net, {.arbiter = arbiter}).has_errors());
+    analysis::AnalysisOptions options;
+    options.arbiter = arbiter;
+    ASSERT_FALSE(analysis::analyze(net, options).has_errors());
     const std::string diag =
         run_with_watchdog(net, sim::KernelKind::kEventDriven, arbiter, 300);
     EXPECT_TRUE(diag.empty()) << "clean netlist tripped the watchdog:\n" << diag;
@@ -251,19 +249,15 @@ TEST(LintVsSim, CleanFuzzNetlistsDoNotTripTheWatchdog) {
 
 TEST(LintVsSim, CleanDiamondIsNotMisflagged) {
   // The negative control: a balanced ST diamond lints clean and flows.
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto f = n.add_fork("f", 2);
-  const auto ba = n.add_buffer("ba");
-  const auto bb = n.add_buffer("bb");
-  const auto j = n.add_join("j", 2);
-  const auto snk = n.add_sink("snk");
-  n.connect(src, 0, f, 0);
-  n.connect(f, 0, ba, 0);
-  n.connect(f, 1, bb, 0);
-  n.connect(ba, 0, j, 0);
-  n.connect(bb, 0, j, 1);
-  n.connect(j, 0, snk, 0);
+  netlist::CircuitBuilder b;
+  const auto f = b.source("src") >> b.fork("f", 2);
+  const auto ba = f >> b.buffer("ba");
+  const auto bb = f >> b.buffer("bb");
+  const auto j = b.join("j", 2);
+  ba >> j;
+  bb >> j;
+  j >> b.sink("snk");
+  const Netlist n = b.build();
   ASSERT_EQ(analysis::analyze(n).count(), 0u);
   const RunResult r = run_kernel(n, sim::KernelKind::kEventDriven,
                                  mt::ArbiterKind::kRoundRobin);

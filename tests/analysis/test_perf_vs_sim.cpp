@@ -20,6 +20,7 @@
 #include "analysis/perf.hpp"
 #include "dse/sweep_spec.hpp"
 #include "dse/workloads.hpp"
+#include "netlist/builder.hpp"
 #include "netlist/elaborate.hpp"
 #include "netlist/fuzz.hpp"
 #include "netlist/netlist.hpp"
@@ -146,16 +147,9 @@ TEST(PerfVsSim, TightOnBubbleFreeLinearPipeline) {
   // A single-thread chain of full-capacity buffers never bubbles: after
   // the fill, one token retires per cycle. The windowed bound must sit
   // within 1% of the measurement on both kernels.
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto b1 = n.add_buffer("b1");
-  const auto b2 = n.add_buffer("b2");
-  const auto b3 = n.add_buffer("b3");
-  const auto snk = n.add_sink("snk");
-  n.connect(src, 0, b1, 0);
-  n.connect(b1, 0, b2, 0);
-  n.connect(b2, 0, b3, 0);
-  n.connect(b3, 0, snk, 0);
+  netlist::CircuitBuilder b;
+  b.source("src") >> b.buffer("b1") >> b.buffer("b2") >> b.buffer("b3") >> b.sink("snk");
+  const Netlist n = b.build();
 
   const auto perf = analysis::analyze_perf(n);
   ASSERT_TRUE(perf.converged && perf.karp_agrees);

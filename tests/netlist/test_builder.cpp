@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/analyze.hpp"
 #include "mt/barrier.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/text_format.hpp"
@@ -7,16 +8,28 @@
 namespace mte::netlist {
 namespace {
 
-// The same diamond built both ways must produce identical structure.
+/// The MTE021 (multithreaded fork/join reconvergence) diagnostics of
+/// `net` under the default ready-aware arbiter, in report order.
+std::vector<analysis::Diagnostic> reconvergence_errors(const Netlist& net) {
+  std::vector<analysis::Diagnostic> out;
+  const analysis::AnalysisReport report = analysis::analyze(net);
+  for (const auto& d : report.diagnostics()) {
+    if (d.code == "MTE021") out.push_back(d);
+  }
+  return out;
+}
+
+// The same diamond built with the raw add/connect primitive and with the
+// builder must produce identical structure.
 TEST(Builder, MatchesLegacyNetlistStructure) {
   Netlist legacy;
-  const auto src = legacy.add_source("src");
-  const auto fork = legacy.add_fork("fork", 2);
-  const auto fu = legacy.add_function("dbl", "double");
-  const auto b0 = legacy.add_buffer("b0");
-  const auto b1 = legacy.add_buffer("b1");
-  const auto join = legacy.add_join("join", 2);
-  const auto snk = legacy.add_sink("snk");
+  const auto src = legacy.add(Node::source("src"));
+  const auto fork = legacy.add(Node::fork("fork", 2));
+  const auto fu = legacy.add(Node::function("dbl", "double"));
+  const auto b0 = legacy.add(Node::buffer("b0"));
+  const auto b1 = legacy.add(Node::buffer("b1"));
+  const auto join = legacy.add(Node::join("join", 2));
+  const auto snk = legacy.add(Node::sink("snk"));
   legacy.connect(src, 0, fork, 0);
   legacy.connect(fork, 0, b0, 0);
   legacy.connect(fork, 1, fu, 0);
@@ -123,23 +136,6 @@ TEST(Builder, CustomOnlyLoopRejected) {
   br.when_false() >> m.in(1);
   br.when_true() >> b.sink("snk");
   EXPECT_THROW((void)b.build(), BuildError);
-}
-
-// Names are load-bearing for elaboration handles, so the legacy id-based
-// API's duplicate names must be rejected at validation time.
-TEST(Builder, LegacyDuplicateNamesRejectedByValidate) {
-  Netlist n;
-  const auto b0 = n.add_buffer("b");
-  const auto b1 = n.add_buffer("b");
-  const auto src = n.add_source("src");
-  const auto snk = n.add_sink("snk");
-  n.connect(src, 0, b0, 0);
-  n.connect(b0, 0, b1, 0);
-  n.connect(b1, 0, snk, 0);
-  const auto problems = n.validate();
-  ASSERT_FALSE(problems.empty());
-  EXPECT_NE(problems.front().find("duplicate node name 'b'"), std::string::npos);
-  EXPECT_THROW(Elaboration(n, FunctionRegistry::with_defaults()), ElaborationError);
 }
 
 // Malformed arities must fail at parse time, not hang validation.
@@ -395,7 +391,7 @@ TEST(Builder, ReconvergentDiamondBuildsSingleThread) {
   // structure is a perfectly good single-thread elastic diamond.
   CircuitBuilder b = reconvergent_diamond();
   EXPECT_NO_THROW((void)b.build());
-  EXPECT_TRUE(b.build().mt_reconvergence_hazards().empty());
+  EXPECT_TRUE(reconvergence_errors(b.build()).empty());
 }
 
 TEST(Builder, ReconvergentDiamondRejectedMultithreaded) {
@@ -416,12 +412,12 @@ TEST(Builder, ReconvergenceHazardIsStructured) {
   CircuitBuilder b = reconvergent_diamond();
   const Netlist multi =
       b.netlist().to_multithreaded(2, mt::MebKind::kReduced);
-  const auto hazards = multi.mt_reconvergence_hazards();
+  const auto hazards = reconvergence_errors(multi);
   ASSERT_EQ(hazards.size(), 1u);
-  EXPECT_EQ(hazards[0].fork, "f");
-  EXPECT_EQ(hazards[0].join, "j");
-  EXPECT_EQ(multi.node(hazards[0].fork_id).name, "f");
-  EXPECT_EQ(multi.node(hazards[0].join_id).name, "j");
+  EXPECT_EQ(hazards[0].component, "f");
+  EXPECT_NE(hazards[0].message.find("fork 'f' reconverges at join 'j'"),
+            std::string::npos)
+      << hazards[0].message;
 
   // Elaborating the hazardous netlist directly is refused too.
   EXPECT_THROW(Elaboration(multi, FunctionRegistry::with_defaults()),
@@ -511,7 +507,7 @@ TEST(Builder, IndependentJoinArmsStayLegalMultithreaded) {
   b.node("j") >> b.sink("snk");
   b.then_multithreaded(2, mt::MebKind::kFull);
   EXPECT_NO_THROW((void)b.build());
-  EXPECT_TRUE(b.build().mt_reconvergence_hazards().empty());
+  EXPECT_TRUE(reconvergence_errors(b.build()).empty());
 }
 
 TEST(Builder, TwoForksTwoJoinsReportEveryHazard) {
@@ -524,14 +520,14 @@ TEST(Builder, TwoForksTwoJoinsReportEveryHazard) {
   f1 >> b.buffer("c1") >> b.node("j1");
   b.node("j1") >> b.sink("snk");
   const Netlist multi = b.netlist().to_multithreaded(2, mt::MebKind::kFull);
-  const auto hazards = multi.mt_reconvergence_hazards();
+  const auto hazards = reconvergence_errors(multi);
   // f0 reconverges at j0; f0 and f1 both reach j1 (f0 through j0's single
   // output is one path only, so only f1 reconverges there).
   ASSERT_EQ(hazards.size(), 2u);
-  EXPECT_EQ(hazards[0].fork, "f0");
-  EXPECT_EQ(hazards[0].join, "j0");
-  EXPECT_EQ(hazards[1].fork, "f1");
-  EXPECT_EQ(hazards[1].join, "j1");
+  EXPECT_EQ(hazards[0].component, "f0");
+  EXPECT_NE(hazards[0].message.find("join 'j0'"), std::string::npos);
+  EXPECT_EQ(hazards[1].component, "f1");
+  EXPECT_NE(hazards[1].message.find("join 'j1'"), std::string::npos);
 }
 
 }  // namespace

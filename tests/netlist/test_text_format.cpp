@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <random>
+#include <string>
+#include <tuple>
+
+#include "analysis/analyze.hpp"
 #include "netlist/elaborate.hpp"
+#include "netlist/fuzz.hpp"
 #include "netlist/text_format.hpp"
 
 namespace mte::netlist {
@@ -24,7 +31,7 @@ TEST(TextFormat, ParsesPipeline) {
   EXPECT_EQ(n.nodes().size(), 5u);
   EXPECT_EQ(n.edges().size(), 4u);
   EXPECT_EQ(n.threads(), 1u);
-  EXPECT_TRUE(n.validate().empty());
+  EXPECT_TRUE(analysis::elaboration_errors(n, mt::ArbiterKind::kRoundRobin).empty());
 }
 
 TEST(TextFormat, ParsedNetlistRuns) {
@@ -147,6 +154,54 @@ TEST(TextFormat, TrailingGarbageErrorsCarryLineNumbers) {
 TEST(TextFormat, ConnectWithoutArrowAccepted) {
   const Netlist n = parse_netlist("source a\nsink b\nconnect a:0 b:0\n");
   EXPECT_EQ(n.edges().size(), 1u);
+}
+
+/// Structural equality: every node field, every edge, the MT header.
+void expect_same_netlist(const Netlist& a, const Netlist& b) {
+  const auto node_key = [](const Node& n) {
+    return std::tie(n.id, n.type, n.name, n.inputs, n.outputs, n.fn, n.latency_lo,
+                    n.latency_hi, n.rate);
+  };
+  const auto edge_key = [](const Edge& e) {
+    return std::tie(e.id, e.from, e.from_port, e.to, e.to_port);
+  };
+  ASSERT_EQ(a.nodes().size(), b.nodes().size());
+  for (std::size_t i = 0; i < a.nodes().size(); ++i) {
+    EXPECT_TRUE(node_key(a.nodes()[i]) == node_key(b.nodes()[i])) << a.nodes()[i].name;
+  }
+  ASSERT_EQ(a.edges().size(), b.edges().size());
+  for (std::size_t i = 0; i < a.edges().size(); ++i) {
+    EXPECT_TRUE(edge_key(a.edges()[i]) == edge_key(b.edges()[i])) << "edge " << i;
+  }
+  EXPECT_EQ(a.is_multithreaded(), b.is_multithreaded());
+  EXPECT_EQ(a.threads(), b.threads());
+  EXPECT_EQ(a.meb_kind(), b.meb_kind());
+}
+
+// Round-trip property over the seeded fuzz corpus, each netlist in its
+// single-thread form and after the MT transform: re-serializing the
+// parsed text is byte-identical, and the parsed netlist is the original.
+TEST(TextFormat, FuzzCorpusRoundTrips) {
+  std::uint64_t base = 0xC0FFEEu;
+  if (const char* env = std::getenv("MTE_FUZZ_SEED"); env != nullptr && *env != '\0') {
+    base = std::strtoull(env, nullptr, 0);
+  }
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    SCOPED_TRACE("MTE_FUZZ_SEED=" + std::to_string(base + k));
+    std::mt19937_64 rng(base + k);
+    bool has_mt_join = false;
+    const Netlist fuzz = random_fuzz_netlist(rng, has_mt_join);
+    // The single-thread form, copied through the raw primitive.
+    Netlist single;
+    for (const auto& n : fuzz.nodes()) single.add(n);
+    for (const auto& e : fuzz.edges()) single.connect(e.from, e.from_port, e.to, e.to_port);
+    for (const Netlist& net : {single, single.to_multithreaded(3, mt::MebKind::kReduced)}) {
+      const std::string text = serialize_netlist(net);
+      const Netlist parsed = parse_netlist(text);
+      EXPECT_EQ(serialize_netlist(parsed), text);
+      expect_same_netlist(parsed, net);
+    }
+  }
 }
 
 }  // namespace

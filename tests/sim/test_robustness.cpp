@@ -20,6 +20,7 @@
 #include <string>
 #include <utility>
 
+#include "netlist/builder.hpp"
 #include "netlist/elaborate.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/fault_injector.hpp"
@@ -36,31 +37,20 @@ using netlist::Netlist;
 /// feeds a buffer, so it is persistent-ready (MTE103 applies), and "b:0"
 /// is driven by one, so it is persistent-valid (MTE101 applies).
 Netlist chain_netlist() {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto b = n.add_buffer("b");
-  const auto snk = n.add_sink("snk");
-  n.connect(src, 0, b, 0);
-  n.connect(b, 0, snk, 0);
-  return n;
+  netlist::CircuitBuilder b;
+  b.source("src") >> b.buffer("b") >> b.sink("snk");
+  return b.build();
 }
 
 /// The MTE030 fixture: fork feedback into a join with no initial token.
 Netlist join_cycle_netlist() {
-  Netlist n;
-  const auto src = n.add_source("src");
-  const auto j = n.add_join("j", 2);
-  const auto b0 = n.add_buffer("b0");
-  const auto f = n.add_fork("f", 2);
-  const auto snk = n.add_sink("snk");
-  const auto b1 = n.add_buffer("b1");
-  n.connect(src, 0, j, 0);
-  n.connect(j, 0, b0, 0);
-  n.connect(b0, 0, f, 0);
-  n.connect(f, 0, snk, 0);
-  n.connect(f, 1, b1, 0);
-  n.connect(b1, 0, j, 1);
-  return n;
+  // build() refuses MTE030, so take the unchecked netlist.
+  netlist::CircuitBuilder b;
+  const auto j = b.source("src") >> b.join("j", 2);
+  const auto f = j >> b.buffer("b0") >> b.fork("f", 2);
+  f >> b.sink("snk");
+  f >> b.buffer("b1") >> j;
+  return b.netlist();
 }
 
 /// Monitor + injector + elaboration with the destruction order the

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
     text << in.rdbuf();
     try {
       const auto net = mte::netlist::parse_netlist(text.str());
-      inputs.push_back({file, net.analyze(options)});
+      inputs.push_back({file, mte::analysis::analyze(net, options)});
     } catch (const mte::netlist::ParseError& ex) {
       std::cerr << "mte_lint: " << file << ": " << ex.what() << "\n";
       return 2;
@@ -220,7 +220,8 @@ int main(int argc, char** argv) {
     AnalysisOptions case_options = options;
     if (has_mt_join) case_options.arbiter = mte::mt::ArbiterKind::kOblivious;
     case_options.perf = true;
-    inputs.push_back({"fuzz:" + std::to_string(seed), net.analyze(case_options)});
+    inputs.push_back(
+        {"fuzz:" + std::to_string(seed), mte::analysis::analyze(net, case_options)});
   }
 
   std::size_t errors = 0;
