@@ -328,7 +328,9 @@ int run_gate() {
 /// PhaseProfiler and prints the per-type settle/commit ranking — the
 /// table that sizes per-type batching candidates for a compiled kernel —
 /// then reports the observability wall-clock overhead by timing the same
-/// stretch with and without the profiler attached. The metrics registry
+/// stretch with and without the profiler attached. At stride 1 that
+/// overhead is one steady_clock read per dispatch (each dispatch is
+/// charged the time since the previous read), plus one per phase. The metrics registry
 /// itself is pull-based and adds no per-cycle work (the obs test suite
 /// pins settle_work/sched_evals equal with the registry on and off).
 void run_profile_pass() {
@@ -363,7 +365,7 @@ void run_profile_pass() {
     return best;
   };
   const double base = timed_run();
-  obs::PhaseProfiler prof;  // stride 1: every dispatch timed (worst case)
+  obs::PhaseProfiler prof;  // stride 1: every dispatch timed, one read each
   s.set_profiler(&prof);
   const sim::Cycle attached_at = s.now();
   const double profiled = timed_run();

@@ -21,8 +21,8 @@
 //   channel.<name>.max_wait         worst backpressure wait } channel
 //   profile.<type>.evals            profiler: eval calls per component type
 //   profile.<type>.ticks            profiler: tick calls per component type
-//   profile.<type>.settle_seconds   profiler: sampled settle wall time
-//   profile.<type>.commit_seconds   profiler: sampled commit wall time
+//   profile.<type>.settle_seconds   profiler: settle wall time charged
+//   profile.<type>.commit_seconds   profiler: commit wall time charged
 //   trace.events / trace.dropped    TraceSession occupancy
 //
 // The registry is PULL-based: producers register a source callback that

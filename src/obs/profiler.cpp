@@ -8,89 +8,78 @@
 
 namespace mte::obs {
 
-PhaseProfiler::Bucket& PhaseProfiler::bucket(
-    std::map<std::string, Bucket, std::less<>>& m, std::string_view key) {
-  auto it = m.find(key);
-  if (it == m.end()) it = m.emplace(std::string(key), Bucket{}).first;
-  return it->second;
+namespace {
+
+[[nodiscard]] double seconds(PhaseProfiler::Clock::duration d) noexcept {
+  return std::chrono::duration<double>(d).count();
 }
 
-void PhaseProfiler::record_eval(const sim::Component& c, double seconds) {
-  const double scaled = seconds * stride_;
-  bucket(types_, c.type_name()).settle_seconds += scaled;
-  bucket(instances_, c.name()).settle_seconds += scaled;
-  ++samples_;
-}
-
-void PhaseProfiler::record_tick(const sim::Component& c, double seconds) {
-  const double scaled = seconds * stride_;
-  bucket(types_, c.type_name()).commit_seconds += scaled;
-  bucket(instances_, c.name()).commit_seconds += scaled;
-  ++samples_;
-}
+}  // namespace
 
 void PhaseProfiler::start(const std::vector<sim::Component*>& components) {
-  types_.clear();
-  instances_.clear();
   samples_ = 0;
+  clock_reads_ = 0;
   countdown_ = 1;
   baseline_.clear();
+  retired_.clear();
   for (const sim::Component* c : components) {
-    baseline_[c] = Calls{c->kernel_eval_calls(), c->kernel_tick_calls()};
+    baseline_[c] = Baseline{window(*c), c->type_name()};
   }
 }
 
-PhaseProfiler::Calls PhaseProfiler::window_calls(const sim::Component& c) const {
-  Calls calls{c.kernel_eval_calls(), c.kernel_tick_calls()};
-  if (const auto it = baseline_.find(&c); it != baseline_.end()) {
-    calls.evals -= it->second.evals;
-    calls.ticks -= it->second.ticks;
+void PhaseProfiler::track(const std::vector<sim::Component*>& components) {
+  for (const sim::Component* c : components) {
+    baseline_.try_emplace(c, Baseline{Usage{}, c->type_name()});
   }
-  return calls;
+}
+
+void PhaseProfiler::retire(const sim::Component& c) {
+  const auto it = baseline_.find(&c);
+  // Untracked: registered after the last phase opened, so never dispatched.
+  if (it == baseline_.end()) return;
+  const Usage w = window(c);
+  if (w.settle != Clock::duration::zero() || w.commit != Clock::duration::zero()) {
+    Usage& row = retired_[std::string(it->second.type)];
+    row.settle += w.settle;
+    row.commit += w.commit;
+  }
+  baseline_.erase(it);
+}
+
+PhaseProfiler::Usage PhaseProfiler::window(const sim::Component& c) const {
+  const auto it = baseline_.find(&c);
+  const Usage b = it == baseline_.end() ? Usage{} : it->second.usage;
+  return Usage{c.kernel_eval_calls() - b.evals, c.kernel_tick_calls() - b.ticks,
+               c.kernel_settle_time() - b.settle, c.kernel_commit_time() - b.commit};
 }
 
 ProfileReport PhaseProfiler::report(
     const std::vector<sim::Component*>& components, std::size_t top_n) const {
   ProfileReport rep;
 
-  // Exact call counts and instance populations, grouped by type.
-  struct Exact {
-    std::uint64_t instances = 0;
-    std::uint64_t evals = 0;
-    std::uint64_t ticks = 0;
-  };
-  std::map<std::string, Exact, std::less<>> exact;
+  // Windows grouped by type, and the instance rows. Retired components
+  // add their seconds, not their counts, to their type's row, which
+  // outlives its last instance.
+  std::map<std::string, ProfileRow, std::less<>> rows;
+  for (const auto& [type, usage] : retired_) {
+    rows[type].settle_seconds = seconds(usage.settle);
+    rows[type].commit_seconds = seconds(usage.commit);
+  }
+  std::vector<InstanceRow> inst;
   for (const sim::Component* c : components) {
-    auto it = exact.find(c->type_name());
-    if (it == exact.end()) it = exact.emplace(std::string(c->type_name()), Exact{}).first;
-    const Calls calls = window_calls(*c);
-    it->second.instances += 1;
-    it->second.evals += calls.evals;
-    it->second.ticks += calls.ticks;
+    const Usage w = window(*c);
+    InstanceRow& i = inst.emplace_back(InstanceRow{c->name(), std::string(c->type_name()),
+                                                   w.evals, w.ticks, seconds(w.settle),
+                                                   seconds(w.commit)});
+    ProfileRow& row = rows[i.type];
+    row.instances += 1;
+    row.evals += i.evals;
+    row.ticks += i.ticks;
+    row.settle_seconds += i.settle_seconds;
+    row.commit_seconds += i.commit_seconds;
   }
-
-  for (const auto& [type, ex] : exact) {
-    ProfileRow row;
+  for (auto& [type, row] : rows) {
     row.type = type;
-    row.instances = ex.instances;
-    row.evals = ex.evals;
-    row.ticks = ex.ticks;
-    if (auto it = types_.find(type); it != types_.end()) {
-      row.settle_seconds = it->second.settle_seconds;
-      row.commit_seconds = it->second.commit_seconds;
-    }
-    rep.total_settle_ += row.settle_seconds;
-    rep.total_commit_ += row.commit_seconds;
-    rep.rows_.push_back(std::move(row));
-  }
-  // Sampled types with no registered instance (components destroyed since
-  // recording) still show up, unattributed counts at zero.
-  for (const auto& [type, b] : types_) {
-    if (exact.find(type) != exact.end()) continue;
-    ProfileRow row;
-    row.type = type;
-    row.settle_seconds = b.settle_seconds;
-    row.commit_seconds = b.commit_seconds;
     rep.total_settle_ += row.settle_seconds;
     rep.total_commit_ += row.commit_seconds;
     rep.rows_.push_back(std::move(row));
@@ -102,7 +91,7 @@ ProfileReport PhaseProfiler::report(
   }
 
   // Most expensive first; exact eval count, then name, break ties so the
-  // ranking is deterministic even with no samples recorded.
+  // ranking is deterministic even with no time recorded.
   std::sort(rep.rows_.begin(), rep.rows_.end(),
             [](const ProfileRow& a, const ProfileRow& b) {
               const double at = a.settle_seconds + a.commit_seconds;
@@ -112,21 +101,7 @@ ProfileReport PhaseProfiler::report(
               return a.type < b.type;
             });
 
-  // Top-N instances by sampled cost (same deterministic tie-break).
-  std::vector<InstanceRow> inst;
-  for (const sim::Component* c : components) {
-    InstanceRow row;
-    row.name = c->name();
-    row.type = std::string(c->type_name());
-    const Calls calls = window_calls(*c);
-    row.evals = calls.evals;
-    row.ticks = calls.ticks;
-    if (auto it = instances_.find(c->name()); it != instances_.end()) {
-      row.settle_seconds = it->second.settle_seconds;
-      row.commit_seconds = it->second.commit_seconds;
-    }
-    inst.push_back(std::move(row));
-  }
+  // Top-N instances by cost (same deterministic tie-break).
   std::sort(inst.begin(), inst.end(),
             [](const InstanceRow& a, const InstanceRow& b) {
               const double at = a.settle_seconds + a.commit_seconds;

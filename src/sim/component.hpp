@@ -1,6 +1,7 @@
 // Component: base class of everything that lives inside a Simulator.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -143,7 +144,7 @@ class Component {
   [[nodiscard]] Simulator& sim() const noexcept { return *sim_; }
 
   /// The component's type label for profiling/metrics attribution
-  /// (obs::PhaseProfiler buckets settle/commit cost by this). Overrides
+  /// (obs::PhaseProfiler groups settle/commit cost by this). Overrides
   /// must return a string with static lifetime — a literal such as
   /// "ElasticBuffer". The default groups unlabeled components together.
   [[nodiscard]] virtual std::string_view type_name() const noexcept {
@@ -156,6 +157,17 @@ class Component {
   /// counters freeze.
   [[nodiscard]] std::uint64_t kernel_eval_calls() const noexcept { return eval_calls_; }
   [[nodiscard]] std::uint64_t kernel_tick_calls() const noexcept { return tick_calls_; }
+
+  /// Profiler-maintained wall time: the settle (eval) and commit (tick)
+  /// time obs::PhaseProfiler charged to this component while attached,
+  /// in steady_clock ticks (stride-scaled when sampling). Zero until a
+  /// profiler is attached; like the call counters, never snapshotted.
+  [[nodiscard]] std::chrono::steady_clock::duration kernel_settle_time() const noexcept {
+    return settle_time_;
+  }
+  [[nodiscard]] std::chrono::steady_clock::duration kernel_commit_time() const noexcept {
+    return commit_time_;
+  }
 
  protected:
   /// Called from tick(): declares which processes' eval-visible outputs
@@ -184,6 +196,8 @@ class Component {
   std::uint32_t kernel_seed_mask_ = kAllProcesses;  // processes to reseed
   std::uint64_t eval_calls_ = 0;
   std::uint64_t tick_calls_ = 0;
+  std::chrono::steady_clock::duration settle_time_{};
+  std::chrono::steady_clock::duration commit_time_{};
 };
 
 /// Process indices/bits of the canonical two-phase split.

@@ -20,10 +20,17 @@
 namespace mte::sim {
 namespace {
 
-using ProfClock = std::chrono::steady_clock;
+using Clock = obs::PhaseProfiler::Clock;
 
-[[nodiscard]] inline double seconds_since(ProfClock::time_point t0) noexcept {
-  return std::chrono::duration<double>(ProfClock::now() - t0).count();
+/// Runs one eval/tick dispatch; an attached profiler times it into `time`,
+/// the component's settle or commit accumulator.
+template <typename Run>
+inline void dispatch(obs::PhaseProfiler* profiler, Clock::duration& time, Run&& run) {
+  if (profiler == nullptr) {
+    run();
+  } else {
+    profiler->dispatch(time, run);
+  }
 }
 
 }  // namespace
@@ -121,6 +128,11 @@ void Simulator::set_profiler(obs::PhaseProfiler* profiler) {
   if (profiler_ != nullptr) profiler_->start(components_);
 }
 
+Clock::time_point Simulator::open_phase() {
+  if (profiler_ != nullptr) return profiler_->open_phase(components_, phase_timing_);
+  return phase_timing_ ? Clock::now() : Clock::time_point{};
+}
+
 void Simulator::register_component(Component& c) {
   components_.push_back(&c);
   seq_cache_valid_ = false;
@@ -132,6 +144,7 @@ void Simulator::unregister_component(Component& c) noexcept {
   if (tearing_down_) return;
   const auto it = std::find(components_.begin(), components_.end(), &c);
   if (it != components_.end()) components_.erase(it);
+  if (profiler_ != nullptr) profiler_->retire(c);
   // Pending bucket entries may point into c's slots: drain them first
   // (forget() only scrubs the tracker-side worklist).
   clear_pending();
@@ -170,6 +183,11 @@ std::size_t Simulator::effective_settle_limit() const noexcept {
 }
 
 void Simulator::settle() {
+  (void)open_phase();
+  settle_phase();
+}
+
+void Simulator::settle_phase() {
   if (kernel_ == KernelKind::kNaive) {
     settle_naive();
   } else {
@@ -187,22 +205,9 @@ void Simulator::settle_naive() {
           "settle loop did not converge after " + std::to_string(limit) +
           " iterations; the circuit most likely contains a combinational cycle");
     }
-    if (profiler_ == nullptr) {
-      for (Component* c : components_) {
-        c->eval();
-        ++c->eval_calls_;
-      }
-    } else {
-      for (Component* c : components_) {
-        if (profiler_->sample_now()) {
-          const auto t0 = ProfClock::now();
-          c->eval();
-          profiler_->record_eval(*c, seconds_since(t0));
-        } else {
-          c->eval();
-        }
-        ++c->eval_calls_;
-      }
+    for (Component* c : components_) {
+      dispatch(profiler_, c->settle_time_, [c] { c->eval(); });
+      ++c->eval_calls_;
     }
     eval_count_ += components_.size();
     settle_work_ += static_cast<double>(components_.size());
@@ -302,13 +307,7 @@ void Simulator::settle_event() {
           ++c->eval_calls_;
           settle_work_ += p.work;
           tracker_.begin_eval(p);
-          if (profiler_ != nullptr && profiler_->sample_now()) {
-            const auto t0 = ProfClock::now();
-            c->eval_process(i);
-            profiler_->record_eval(*c, seconds_since(t0));
-          } else {
-            c->eval_process(i);
-          }
+          dispatch(profiler_, c->settle_time_, [c, i] { c->eval_process(i); });
           tracker_.end_eval();
           // A first-ever wire read during this early eval means its output
           // may predate inputs the sweep computes: re-run it in order.
@@ -344,13 +343,8 @@ void Simulator::settle_event() {
       ++owner.eval_calls_;
       settle_work_ += p->work;
       tracker_.begin_eval(*p);
-      if (profiler_ != nullptr && profiler_->sample_now()) {
-        const auto t0 = ProfClock::now();
-        owner.eval_process(p->index);
-        profiler_->record_eval(owner, seconds_since(t0));
-      } else {
-        owner.eval_process(p->index);
-      }
+      dispatch(profiler_, owner.settle_time_,
+               [&owner, p] { owner.eval_process(p->index); });
       tracker_.end_eval();
       // Changed wires enqueued their fanout; newly discovered edges can
       // enqueue below the sweep point and pull it back down.
@@ -725,7 +719,6 @@ void Simulator::restore(std::istream& is) {
 }
 
 void Simulator::step() {
-  using clock = std::chrono::steady_clock;
   // Trace bookkeeping: this cycle's activity is the counter deltas.
   std::uint64_t trace_evals0 = 0;
   std::uint64_t trace_ticks0 = 0;
@@ -737,9 +730,8 @@ void Simulator::step() {
     trace_elided0 = elided_tick_count_;
     was_demoted = demoted_to_naive_;
   }
-  clock::time_point t0{};
-  if (phase_timing_) t0 = clock::now();
-  settle();
+  const Clock::time_point t0 = open_phase();
+  settle_phase();
   for (const auto& fn : observers_) fn(cycle_);
   if (injector_ != nullptr && injector_->apply(cycle_)) {
     // An external wire write never re-schedules its writer: force the next
@@ -761,28 +753,12 @@ void Simulator::step() {
   // snapshot then holds the counters before this cycle, like every other
   // piece of pre-tick state, so its restore counts the cycle exactly once.
   for (const auto& ch : channel_counters_) ch->observe(cycle_, trace_);
-  clock::time_point t1{};
-  if (phase_timing_) {
-    t1 = clock::now();
-    settle_seconds_ += std::chrono::duration<double>(t1 - t0).count();
-  }
+  const Clock::time_point t1 = open_phase();
+  if (phase_timing_) settle_seconds_ += std::chrono::duration<double>(t1 - t0).count();
   if (kernel_ == KernelKind::kNaive) {
-    if (profiler_ == nullptr) {
-      for (Component* c : components_) {
-        c->tick();
-        ++c->tick_calls_;
-      }
-    } else {
-      for (Component* c : components_) {
-        if (profiler_->sample_now()) {
-          const auto pt0 = ProfClock::now();
-          c->tick();
-          profiler_->record_tick(*c, seconds_since(pt0));
-        } else {
-          c->tick();
-        }
-        ++c->tick_calls_;
-      }
+    for (Component* c : components_) {
+      dispatch(profiler_, c->commit_time_, [c] { c->tick(); });
+      ++c->tick_calls_;
     }
     tick_count_ += components_.size();
   } else {
@@ -803,20 +779,14 @@ void Simulator::step() {
       // declares touched (set_tick_touched; default all) have stale
       // eval() outputs and seed the next settle.
       c->kernel_seed_mask_ = Component::kAllProcesses;
-      if (profiler_ != nullptr && profiler_->sample_now()) {
-        const auto pt0 = ProfClock::now();
-        c->tick();
-        profiler_->record_tick(*c, seconds_since(pt0));
-      } else {
-        c->tick();
-      }
+      dispatch(profiler_, c->commit_time_, [c] { c->tick(); });
       ++c->tick_calls_;
       ++tick_count_;
     }
     seed_seq_pending_ = true;
   }
   if (phase_timing_) {
-    commit_seconds_ += std::chrono::duration<double>(clock::now() - t1).count();
+    commit_seconds_ += std::chrono::duration<double>(Clock::now() - t1).count();
   }
   if (trace_ != nullptr) {
     trace_->record_cycle(cycle_, eval_count_ - trace_evals0,

@@ -78,6 +78,7 @@
 // kernel stays available as the oracle and for debugging.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -272,9 +273,11 @@ class Simulator {
 
   /// Opt-in per-phase wall-clock accounting: when enabled, each step()
   /// separately accumulates the settle (eval fixed point + observers) and
-  /// commit (tick sweep) durations. Off by default — it costs two clock
+  /// commit (tick sweep) durations. Off by default — it costs three clock
   /// reads per cycle — and meant for profiling runs (bench_sim_speed's
-  /// commit-share rows), not timed comparisons.
+  /// commit-share rows), not timed comparisons. With a profiler attached
+  /// the two phase-opening reads are the profiler's chain-opening reads:
+  /// one clock for phases and rows, and only the closing read is extra.
   void set_phase_timing(bool on) noexcept { phase_timing_ = on; }
   [[nodiscard]] double settle_seconds() const noexcept { return settle_seconds_; }
   [[nodiscard]] double commit_seconds() const noexcept { return commit_seconds_; }
@@ -289,10 +292,12 @@ class Simulator {
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// Attaches a profiler: every stride-th eval/tick dispatch is timed and
-  /// attributed to the component's type_name(). Attaching starts the
-  /// profiler's window (PhaseProfiler::start): its report then covers
-  /// the evals, ticks and seconds since this call. The profiler must
+  /// Attaches a profiler: every eval/tick dispatch runs through
+  /// PhaseProfiler::dispatch, which charges its wall time to the
+  /// component (at stride 1 one clock read per dispatch, chained across
+  /// each phase; see obs/profiler.hpp). Attaching starts the profiler's
+  /// window (PhaseProfiler::start): its report then covers the evals,
+  /// ticks and seconds since this call. The profiler must
   /// outlive the attachment; detach with nullptr. Profiler state is
   /// scratch: restore() restarts the window (diagnostics restart,
   /// mirroring the counters' not-in-snapshot rule).
@@ -345,6 +350,10 @@ class Simulator {
   void emit_sim_metrics(obs::MetricsSink& sink) const;
   [[nodiscard]] std::size_t effective_settle_limit() const noexcept;
   void ensure_processes(Component& c);
+  /// Opens a settle or commit phase: the profiler's chain-opening read,
+  /// shared with phase timing (a zero time point when neither needs it).
+  std::chrono::steady_clock::time_point open_phase();
+  void settle_phase();  // settle() without opening a phase
   void settle_naive();
   void settle_event();
   void relevelize();

@@ -73,7 +73,8 @@ void usage(std::ostream& os) {
         "  --trace-limit <n>    trace event cap (default 1000000)\n"
         "  --vcd <file>         write a channel waveform VCD\n"
         "  --stride <n>         profiler sampling stride (default 1:\n"
-        "                       time every dispatch)\n"
+        "                       time every dispatch, one clock read\n"
+        "                       each; n > 1: every n-th, two reads)\n"
         "  --top <n>            instances in the profiler ranking\n"
         "                       (default 8)\n"
         "  --monitors           attach SELF protocol monitors to every\n"
