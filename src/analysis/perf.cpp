@@ -189,10 +189,6 @@ std::vector<std::size_t> weak_components(const MarkedGraph& g) {
 /// throughput bound) so plain Dijkstra applies.
 std::vector<std::size_t> fill_latency(const Netlist& net) {
   const auto& nodes = net.nodes();
-  std::vector<std::vector<std::size_t>> in(nodes.size());
-  for (const auto& e : net.edges()) {
-    if (e.from < nodes.size() && e.to < nodes.size()) in[e.to].push_back(e.from);
-  }
   const auto weight = [&nodes](std::size_t v) -> std::size_t {
     if (nodes[v].type == NodeType::kBuffer) return 1;
     if (nodes[v].type == NodeType::kVarLatency) return clamped_lo(nodes[v]);
@@ -293,6 +289,41 @@ std::vector<std::vector<std::size_t>> nontrivial_sccs(const MarkedGraph& g) {
   return sccs;
 }
 
+/// Walks the converged policy from `start` until it closes a cycle;
+/// returns the cycle's vertices plus its (tokens, hops) weight.
+struct WalkedCycle {
+  std::vector<std::size_t> verts;
+  std::size_t tokens = 0;
+  std::size_t hops = 0;
+};
+
+/// `seen` is caller-owned scratch of one entry per vertex, all zero on
+/// entry and on return: the walk clears the marks it set by re-walking
+/// the same path, so it costs the path's length, not the graph's size.
+WalkedCycle walk_cycle(const MarkedGraph& g, const std::vector<std::size_t>& policy,
+                       std::size_t start, std::vector<char>& seen) {
+  const auto succ = [&](std::size_t v) {
+    return policy[v] == kNone ? kNone : g.adj[v][policy[v]].to;
+  };
+  WalkedCycle out;
+  std::size_t u = start;
+  while (u != kNone && !seen[u]) {
+    seen[u] = 1;
+    u = succ(u);
+  }
+  if (u != kNone) {
+    std::size_t x = u;
+    do {
+      out.verts.push_back(x);
+      out.tokens += g.adj[x][policy[x]].tokens;
+      ++out.hops;
+      x = succ(x);
+    } while (x != u);
+  }
+  for (std::size_t v = start; v != kNone && seen[v]; v = succ(v)) seen[v] = 0;
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -322,6 +353,8 @@ CycleMeanResult howard_min_cycle_mean(const MarkedGraph& g) {
     return static_cast<double>(g.adj[v][policy[v]].tokens);
   };
 
+  std::vector<int> state(n);  // 0 new, 1 on current path, 2 settled
+  std::vector<std::size_t> path;
   const std::size_t max_iter = 100 + 10 * n;
   bool changed = true;
   while (changed && r.iterations < max_iter) {
@@ -330,10 +363,10 @@ CycleMeanResult howard_min_cycle_mean(const MarkedGraph& g) {
     // --- evaluate the current policy (a functional graph) ----------------
     std::fill(eta.begin(), eta.end(), kInf);
     std::fill(val.begin(), val.end(), 0.0);
-    std::vector<int> state(n, 0);  // 0 new, 1 on current path, 2 settled
+    std::fill(state.begin(), state.end(), 0);
     for (std::size_t s = 0; s < n; ++s) {
       if (state[s] != 0) continue;
-      std::vector<std::size_t> path;
+      path.clear();
       std::size_t u = s;
       while (u != kNone && state[u] == 0) {
         state[u] = 1;
@@ -410,81 +443,46 @@ CycleMeanResult howard_min_cycle_mean(const MarkedGraph& g) {
     }
   }
   if (argmin != kNone) {
-    std::vector<int> seen(n, 0);
-    std::size_t u = argmin;
-    while (u != kNone && !seen[u]) {
-      seen[u] = 1;
-      u = succ(u);
-    }
-    if (u != kNone) {
-      std::size_t x = u;
-      do {
-        r.cycle.push_back(x);
-        r.cycle_tokens += g.adj[x][policy[x]].tokens;
-        ++r.cycle_hops;
-        x = succ(x);
-      } while (x != u);
-    }
+    std::vector<char> seen(n, 0);
+    WalkedCycle wc = walk_cycle(g, policy, argmin, seen);
+    r.cycle = std::move(wc.verts);
+    r.cycle_tokens = wc.tokens;
+    r.cycle_hops = wc.hops;
   }
   return r;
 }
 
 namespace {
 
-/// Walks the converged policy from `start` until it closes a cycle;
-/// returns the cycle's vertices plus its (tokens, hops) weight.
-struct WalkedCycle {
-  std::vector<std::size_t> verts;
-  std::size_t tokens = 0;
-  std::size_t hops = 0;
-};
-
-WalkedCycle walk_cycle(const MarkedGraph& g, const std::vector<std::size_t>& policy,
-                       std::size_t start) {
-  WalkedCycle out;
-  std::vector<int> seen(g.adj.size(), 0);
-  std::size_t u = start;
-  while (u != kNone && !seen[u]) {
-    seen[u] = 1;
-    u = policy[u] == kNone ? kNone : g.adj[u][policy[u]].to;
-  }
-  if (u == kNone) return out;
-  std::size_t x = u;
-  do {
-    out.verts.push_back(x);
-    out.tokens += g.adj[x][policy[x]].tokens;
-    ++out.hops;
-    x = g.adj[x][policy[x]].to;
-  } while (x != u);
-  return out;
-}
-
-/// Token-weighted shortest distance from every vertex TO `target`
-/// (Dijkstra over the reversed arcs, weight = initial tokens): the
-/// transient slack a downstream measurement at `target` can collect from
-/// a constraint at that vertex. kNone where no directed path exists.
-std::vector<std::size_t> token_distance_to(const MarkedGraph& g,
-                                           std::size_t target) {
-  const std::size_t n = g.adj.size();
-  std::vector<std::vector<PerfArc>> rev(n);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (const auto& a : g.adj[u]) rev[a.to].push_back({u, a.tokens});
-  }
-  std::vector<std::size_t> dist(n, kNone);
+/// Token-weighted shortest distances FROM a set of constraint vertices
+/// (Dijkstra over the arcs, weight = initial tokens): dist[t] is the
+/// fewest initial tokens on a directed path from any source to t, the
+/// transient slack a downstream measurement at t can collect from that
+/// constraint; kNone where no directed path exists. Arcs never leave a
+/// weak component, so one search from the union of every component's
+/// sources answers each component on its own. `visits` counts the
+/// distance entries written.
+std::vector<std::size_t> slack_from(const MarkedGraph& g,
+                                    const std::vector<std::size_t>& sources,
+                                    std::size_t& visits) {
+  std::vector<std::size_t> dist(g.adj.size(), kNone);
   using Item = std::pair<std::size_t, std::size_t>;  // (dist, vertex)
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-  dist[target] = 0;
-  heap.push({0, target});
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  const auto write = [&](std::size_t v, std::size_t d) {
+    dist[v] = d;
+    ++visits;
+    heap.push({d, v});
+  };
+  for (const std::size_t v : sources) {
+    if (dist[v] != 0) write(v, 0);
+  }
   while (!heap.empty()) {
     const auto [d, v] = heap.top();
     heap.pop();
     if (d > dist[v]) continue;
-    for (const auto& a : rev[v]) {
+    for (const auto& a : g.adj[v]) {
       const std::size_t nd = d + a.tokens;
-      if (nd < dist[a.to]) {
-        dist[a.to] = nd;
-        heap.push({nd, a.to});
-      }
+      if (nd < dist[a.to]) write(a.to, nd);
     }
   }
   return dist;
@@ -498,9 +496,9 @@ std::vector<std::size_t> token_distance_to(const MarkedGraph& g,
 
 double karp_min_cycle_mean(const MarkedGraph& g) {
   double best = kInf;
+  std::vector<std::size_t> local(g.adj.size(), kNone);
   for (const auto& scc : nontrivial_sccs(g)) {
     const std::size_t nc = scc.size();
-    std::vector<std::size_t> local(g.adj.size(), kNone);
     for (std::size_t i = 0; i < nc; ++i) local[scc[i]] = i;
     // arcs[v] = incoming (from, weight) pairs within the SCC.
     std::vector<std::vector<std::pair<std::size_t, double>>> in(nc);
@@ -511,24 +509,38 @@ double karp_min_cycle_mean(const MarkedGraph& g) {
         }
       }
     }
-    // D[k][v]: min weight of a k-arc walk from scc[0].
-    std::vector<std::vector<double>> d(nc + 1, std::vector<double>(nc, kInf));
-    d[0][0] = 0.0;
-    for (std::size_t k = 1; k <= nc; ++k) {
+    for (const std::size_t u : scc) local[u] = kNone;
+    // D_k[v]: min weight of a k-arc walk from scc[0]. Two passes over
+    // rolling rows keep memory O(nc): the first computes D_nc, the second
+    // recomputes each D_k (k < nc) and folds Karp's max over k.
+    std::vector<double> row(nc), next(nc);
+    const auto restart = [&] {
+      std::fill(row.begin(), row.end(), kInf);
+      row[0] = 0.0;
+    };
+    const auto advance = [&] {
       for (std::size_t v = 0; v < nc; ++v) {
+        next[v] = kInf;
         for (const auto& [u, w] : in[v]) {
-          if (d[k - 1][u] != kInf) d[k][v] = std::min(d[k][v], d[k - 1][u] + w);
+          if (row[u] != kInf) next[v] = std::min(next[v], row[u] + w);
         }
       }
+      row.swap(next);
+    };
+    restart();
+    for (std::size_t k = 1; k <= nc; ++k) advance();
+    const std::vector<double> last = row;
+    std::vector<double> worst(nc, -kInf);
+    restart();
+    for (std::size_t k = 0; k < nc; ++k) {
+      for (std::size_t v = 0; v < nc; ++v) {
+        if (last[v] == kInf || row[v] == kInf) continue;
+        worst[v] = std::max(worst[v], (last[v] - row[v]) / static_cast<double>(nc - k));
+      }
+      advance();
     }
     for (std::size_t v = 0; v < nc; ++v) {
-      if (d[nc][v] == kInf) continue;
-      double worst = -kInf;
-      for (std::size_t k = 0; k < nc; ++k) {
-        if (d[k][v] == kInf) continue;
-        worst = std::max(worst, (d[nc][v] - d[k][v]) / static_cast<double>(nc - k));
-      }
-      if (worst != -kInf) best = std::min(best, worst);
+      if (worst[v] != -kInf) best = std::min(best, worst[v]);
     }
   }
   return best;
@@ -592,14 +604,6 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
     if (s * (1 + k) < 2) service_cap = {s * (1 + k), 2};
   }
 
-  // Which components contain an MEB station (the service cap's scope).
-  std::set<std::size_t> meb_comps;
-  for (const auto& n : nodes) {
-    if (n.type == NodeType::kBuffer && model.head[n.id] != kNone) {
-      meb_comps.insert(comp[model.head[n.id]]);
-    }
-  }
-
   // Per-component structural minimum and its representative vertex.
   std::map<std::size_t, std::pair<double, std::size_t>> comp_min;
   for (std::size_t v = 0; v < model.verts.size(); ++v) {
@@ -632,8 +636,41 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
     return c;
   };
 
+  // The remote constraints a sink can collect slack from: its weak
+  // component's critical cycle when the component's ratio is below 1
+  // (walked once per component from its argmin vertex, not the global
+  // one — they differ in multi-sink nets), and its MEB stations, where
+  // the hybrid service cap binds. Each kind costs one search in all,
+  // however many sinks share a component.
+  std::map<std::size_t, WalkedCycle> comp_cycle;
+  std::vector<std::size_t> cycle_verts;
+  std::vector<std::size_t> meb_verts;
+  std::vector<char> has_meb(model.verts.size(), 0);  // by component
+  std::vector<char> seen(model.verts.size(), 0);
+  for (const auto& n : nodes) {
+    const std::size_t v = model.head[n.id];
+    if (n.type == NodeType::kBuffer && v != kNone) {
+      meb_verts.push_back(v);
+      has_meb[comp[v]] = 1;
+    }
+    if (n.type != NodeType::kSink) continue;
+    const auto cm = comp_min.find(comp[v]);
+    if (cm == comp_min.end() || !(cm->second.first < 1.0 - kEps) ||
+        comp_cycle.count(cm->first) > 0) {
+      continue;
+    }
+    WalkedCycle wc = walk_cycle(model.graph, howard.policy, cm->second.second, seen);
+    cycle_verts.insert(cycle_verts.end(), wc.verts.begin(), wc.verts.end());
+    comp_cycle.emplace(cm->first, std::move(wc));
+  }
+  const std::vector<std::size_t> cycle_slack =
+      slack_from(model.graph, cycle_verts, rep.slack_visits);
+  const std::vector<std::size_t> meb_slack =
+      service_cap ? slack_from(model.graph, meb_verts, rep.slack_visits)
+                  : std::vector<std::size_t>{};
+
   double worst_structural = 1.0;
-  std::optional<WalkedCycle> worst_cycle;
+  const WalkedCycle* worst_cycle = nullptr;
   for (const auto& n : nodes) {
     if (n.type != NodeType::kSink) continue;
     PerfSinkBound sb;
@@ -653,41 +690,21 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
     }
     sb.structural_ratio = structural;
     double theta = structural;
-    // Token slack from every vertex to this sink — the additive transient
-    // a remote constraint leaves the sink free to collect.
-    const std::vector<std::size_t> slack_to_sink =
-        token_distance_to(model.graph, sink_vertex);
-    const auto min_slack = [&](const std::vector<std::size_t>& verts) {
-      std::size_t best = kNone;
-      for (const std::size_t v : verts) best = std::min(best, slack_to_sink[v]);
-      return best;
-    };
     if (structural < 1.0 - kEps) {
-      // The component's own critical cycle (walked from its argmin
-      // vertex), not the global one — they differ in multi-sink nets.
-      const WalkedCycle wc =
-          walk_cycle(model.graph, howard.policy, cm->second.second);
-      if (wc.hops > 0) {
-        // A cycle with no directed path to the sink imposes no count
-        // recurrence on it (theta still records the steady-state cap).
-        const std::size_t slack = min_slack(wc.verts);
-        if (slack != kNone) sb.candidates.push_back({wc.tokens, wc.hops, slack});
-      }
+      const WalkedCycle& wc = comp_cycle.at(c);
+      // A cycle with no directed path to the sink imposes no count
+      // recurrence on it (theta still records the steady-state cap).
+      const std::size_t slack = cycle_slack[sink_vertex];
+      if (slack != kNone) sb.candidates.push_back({wc.tokens, wc.hops, slack});
       if (structural < worst_structural - kEps) {
         worst_structural = structural;
-        worst_cycle = wc;
+        worst_cycle = &wc;
       }
     }
-    if (service_cap && meb_comps.count(c) != 0) {
+    if (service_cap && has_meb[c]) {
       // The cap binds at each MEB station; the sink additionally collects
       // the slack buffered past the nearest constraining MEB.
-      std::size_t slack = kNone;
-      for (const auto& meb : nodes) {
-        if (meb.type == NodeType::kBuffer && model.head[meb.id] != kNone &&
-            comp[model.head[meb.id]] == c) {
-          slack = std::min(slack, slack_to_sink[model.head[meb.id]]);
-        }
-      }
+      const std::size_t slack = meb_slack[sink_vertex];
       if (slack != kNone) {
         sb.candidates.push_back({service_cap->first, service_cap->second, slack});
       }

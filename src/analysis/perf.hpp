@@ -33,6 +33,15 @@
 // The per-sink bound is min(1, component cycle ratio, aggregate MEB
 // service cap), and windowed_bound() folds in the pipeline fill latency
 // so a finite-horizon measurement can be compared against it exactly.
+//
+// Cost: the sink bounds are near-linear in netlist size, however many
+// sinks share a weak component. Each component's critical cycle is walked
+// once, and the token slack from the cycles (and, under a hybrid service
+// cap, from the MEB stations) to every sink comes from one multi-source
+// Dijkstra per kind, O((V+E) log V) in all (PerfReport::slack_visits
+// counts that work). Howard costs O(V+E) per policy iteration. Karp's
+// cross-check is the superlinear part left: O(V*E) time per strongly
+// connected component, which one long pipeline is.
 #pragma once
 
 #include <cstddef>
@@ -94,7 +103,10 @@ struct CycleMeanResult {
 [[nodiscard]] CycleMeanResult howard_min_cycle_mean(const MarkedGraph& g);
 
 /// Karp's algorithm (per nontrivial SCC) for the same quantity; +inf
-/// when acyclic. The independent cross-check for Howard.
+/// when acyclic. The independent cross-check for Howard. Memory is O(V)
+/// (two rolling rows, two passes), but time is still O(V*E) per SCC: the
+/// one superlinear path left in analyze_perf, felt only on large SCCs
+/// such as one long buffer pipeline.
 [[nodiscard]] double karp_min_cycle_mean(const MarkedGraph& g);
 
 /// The bottleneck cycle of a netlist whose bound is below 1 token/cycle.
@@ -145,6 +157,10 @@ struct PerfReport {
   bool converged = true;      ///< Howard hit its fixed point
   bool karp_agrees = true;    ///< Karp confirmed the global minimum
   std::size_t iterations = 0;
+  /// Distance entries the token-slack searches wrote: the
+  /// machine-independent work count of the sink bounds. At most two
+  /// searches run, so it grows with the arcs, not with sinks x V.
+  std::size_t slack_visits = 0;
   /// Min over sinks of theta (1.0 for a netlist without sinks).
   double aggregate_bound = 1.0;
   std::vector<PerfSinkBound> sinks;  ///< sorted by sink name

@@ -194,12 +194,22 @@ double round1(double v) {
 PointRecord CampaignRunner::run_point(const SweepPoint& point, const SweepSpec& spec,
                                       const CheckpointPolicy& ckpt,
                                       const RobustnessPolicy& robust) const {
+  return evaluate_point(point, spec, ckpt, robust, std::nullopt);
+}
+
+PointRecord CampaignRunner::evaluate_point(const SweepPoint& point,
+                                           const SweepSpec& spec,
+                                           const CheckpointPolicy& ckpt,
+                                           const RobustnessPolicy& robust,
+                                           std::optional<double> static_bound) const {
   PointRecord rec;
   rec.point = point;
   rec.seed = point_seed(spec.seed, point.index);
   try {
     const Workload& w = workloads_.at(point.workload);
-    if (const auto price = static_price(w, point, spec.cycles)) {
+    if (static_bound) {
+      rec.static_bound = *static_bound;
+    } else if (const auto price = static_price(w, point, spec.cycles)) {
       rec.static_bound = price->bound;
     }
     if ((ckpt.enabled() || robust.enabled()) && w.make_session != nullptr) {
@@ -273,7 +283,8 @@ std::vector<PointRecord> CampaignRunner::run(const SweepSpec& spec,
         }
       }
       if (dominator == nullptr) {
-        records[i] = run_point(points[i], spec, ckpt, robust);
+        records[i] = evaluate_point(points[i], spec, ckpt, robust,
+                                    price ? price->bound : PointRecord{}.static_bound);
         continue;
       }
       PointRecord& rec = records[i];

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -144,6 +145,16 @@ class CampaignRunner {
                                       const RobustnessPolicy& robust = {}) const;
 
  private:
+  /// run_point, with `static_bound` the point's already computed price
+  /// (PointRecord::static_bound's value), or nullopt to price it here.
+  /// Screening prices every point before deciding to simulate it, and
+  /// passes that price on instead of building and analyzing again.
+  [[nodiscard]] PointRecord evaluate_point(const SweepPoint& point,
+                                           const SweepSpec& spec,
+                                           const CheckpointPolicy& ckpt,
+                                           const RobustnessPolicy& robust,
+                                           std::optional<double> static_bound) const;
+
   WorkloadSet workloads_;
 };
 

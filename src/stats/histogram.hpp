@@ -42,10 +42,6 @@ class Histogram {
     return max_;
   }
 
-  [[nodiscard]] const std::map<std::uint64_t, std::uint64_t>& buckets() const noexcept {
-    return buckets_;
-  }
-
   void clear() {
     buckets_.clear();
     total_ = sum_ = 0;

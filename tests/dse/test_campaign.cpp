@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -222,6 +223,50 @@ TEST(CampaignRunner, OwnsItsWorkloadSet) {
   const auto records = runner.run(spec, 1);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_TRUE(records[0].ok()) << records[0].error;
+}
+
+TEST(CampaignRunner, PricesEachPointOnce) {
+  // Building a point's netlist and analyzing it is the cost of static
+  // pricing; screening decides with that price and must not pay it again
+  // when the point goes on to simulate.
+  std::map<std::size_t, int> priced;
+  WorkloadSet set;
+  for (const char* name : {"fig1", "fig5"}) {
+    Workload w = WorkloadSet::builtin().at(name);
+    w.name += "_counted";
+    w.make_netlist = [inner = w.make_netlist, &priced](const SweepPoint& p) {
+      ++priced[p.index];
+      return inner(p);
+    };
+    set.add(std::move(w));
+  }
+
+  // The mte_dse default preset's axes, at a reduced cycle budget.
+  SweepSpec spec;
+  spec.workloads = {"fig1_counted", "fig5_counted"};
+  spec.variants = {MebVariant::kFull, MebVariant::kHybrid, MebVariant::kReduced};
+  spec.threads = {1, 2, 4, 8};
+  spec.shared_slots = {0, 1};
+  spec.arbiters = {mt::ArbiterKind::kRoundRobin, mt::ArbiterKind::kOblivious};
+  spec.cycles = 300;
+  const CampaignRunner runner{set};
+  for (const bool screen : {true, false}) {
+    SCOPED_TRACE(screen ? "screened" : "plain");
+    priced.clear();
+    const auto records = runner.run(spec, 1, {}, {}, {}, screen);
+    ASSERT_FALSE(records.empty());
+    std::size_t skipped = 0;
+    for (const auto& r : records) {
+      EXPECT_EQ(priced[r.point.index], 1) << r.point.label();
+      EXPECT_GE(r.static_bound, 0.0) << r.point.label();
+      if (r.failure_kind == "screened") ++skipped;
+    }
+    EXPECT_EQ(priced.size(), records.size());
+    if (screen) {
+      EXPECT_GT(skipped, 0u);
+      EXPECT_LT(skipped, records.size());
+    }
+  }
 }
 
 TEST(CampaignRunner, HandBuiltEnginesRunUnderBothKernels) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "stats/histogram.hpp"
 #include "stats/latency.hpp"
 
@@ -49,6 +52,51 @@ TEST(Histogram, ClearResets) {
   EXPECT_EQ(h.count(), 0u);
   h.add(3);
   EXPECT_EQ(h.min(), 3u);
+}
+
+TEST(Histogram, SnapshotRoundTripIsByteIdentical) {
+  // The snapshot is one ordered value -> count map (a zero-count add
+  // included) followed by the moments, and loads back to the same bytes
+  // and statistics.
+  Histogram h;
+  std::map<std::uint64_t, std::uint64_t> expected;
+  std::uint64_t sum = 0;
+  const std::pair<std::uint64_t, std::uint64_t> adds[] = {
+      {17, 3}, {0, 2}, {15, 4}, {16, 1}, {3, 1}, {1000, 1}, {9, 0}, {3, 2}, {40, 0}};
+  for (const auto& [value, count] : adds) {
+    h.add(value, count);
+    expected[value] += count;
+    sum += value * count;
+  }
+  sim::SnapshotWriter reference;
+  sim::snapshot_write_map(reference, expected);
+  reference.write_u64(h.count());
+  reference.write_u64(sum);
+  reference.write_u64(0);
+  reference.write_u64(1000);
+
+  sim::SnapshotWriter saved;
+  h.save(saved);
+  EXPECT_EQ(saved.bytes(), reference.bytes());
+
+  sim::SnapshotReader reader(saved.bytes());
+  Histogram back;
+  back.add(5);  // load replaces what was there
+  back.load(reader);
+  sim::SnapshotWriter again;
+  back.save(again);
+  EXPECT_EQ(again.bytes(), saved.bytes());
+  EXPECT_EQ(back.count(), h.count());
+  EXPECT_EQ(back.min(), 0u);
+  EXPECT_EQ(back.max(), 1000u);
+  EXPECT_DOUBLE_EQ(back.mean(), h.mean());
+  for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
+    EXPECT_EQ(back.percentile(q), h.percentile(q)) << q;
+  }
+  EXPECT_EQ(h.percentile(0.0), 0u);
+  EXPECT_EQ(h.percentile(0.5), 15u);
+  EXPECT_EQ(h.percentile(0.75), 17u);
+  EXPECT_EQ(h.percentile(1.0), 1000u);
 }
 
 TEST(LatencyTracker, TracksInjectToRetire) {
