@@ -7,9 +7,10 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <sstream>
 
 #include "analysis/perf.hpp"
+#include "graph/scc.hpp"
+#include "netlist/node_semantics.hpp"
 
 namespace mte::analysis {
 namespace {
@@ -18,16 +19,6 @@ using netlist::Edge;
 using netlist::Netlist;
 using netlist::Node;
 using netlist::NodeType;
-
-/// Storage elements cut both handshake directions in the node-granular
-/// model: custom nodes are conservatively combinational (a factory may
-/// register a pass-through unit, and a falsely accepted bufferless loop
-/// livelocks the simulator), and the MT var-latency fast path (a
-/// combinational bypass) is opt-in at configuration time and invisible
-/// statically.
-bool is_storage(NodeType t) {
-  return t == NodeType::kBuffer || t == NodeType::kVarLatency;
-}
 
 std::string in_port(unsigned p) { return "in" + std::to_string(p); }
 std::string out_port(unsigned p) { return "out" + std::to_string(p); }
@@ -43,71 +34,70 @@ std::string name_set(const std::vector<std::string>& names) {
   return out;
 }
 
-/// Iterative Tarjan over an adjacency list; returns the nontrivial SCCs
-/// (two or more vertices, or one vertex with a self-arc), each sorted.
-std::vector<std::vector<std::size_t>> tarjan_nontrivial(
-    const std::vector<std::vector<std::size_t>>& adj) {
-  const std::size_t n = adj.size();
-  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> index(n, kNone);
-  std::vector<std::size_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::size_t> stack;
-  std::vector<std::vector<std::size_t>> sccs;
-  std::size_t next_index = 0;
-
-  struct Frame {
-    std::size_t v;
-    std::size_t child = 0;
-  };
-  std::vector<Frame> frames;
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kNone) continue;
-    frames.push_back({root});
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      const std::size_t v = f.v;
-      if (f.child == 0) {
-        index[v] = lowlink[v] = next_index++;
-        stack.push_back(v);
-        on_stack[v] = true;
-      } else {
-        // Returning from the previous child.
-        const std::size_t w = adj[v][f.child - 1];
-        lowlink[v] = std::min(lowlink[v], lowlink[w]);
+/// reconvergent_pairs() over the shared adjacency.
+std::vector<ReconvergentPair> reconvergent_pairs(const Netlist& net,
+                                                 const netlist::Adjacency& adj) {
+  std::vector<ReconvergentPair> pairs;
+  const auto& nodes = net.nodes();
+  const auto& edges = net.edges();
+  const auto ancestors = [&](std::size_t start) {
+    std::vector<bool> seen(nodes.size(), false);
+    std::vector<std::size_t> stack{start};
+    seen[start] = true;
+    while (!stack.empty()) {
+      const std::size_t u = stack.back();
+      stack.pop_back();
+      for (const std::size_t e : adj.in[u]) {
+        const std::size_t p = edges[e].from;
+        if (!seen[p]) {
+          seen[p] = true;
+          stack.push_back(p);
+        }
       }
-      bool descended = false;
-      while (f.child < adj[v].size()) {
-        const std::size_t w = adj[v][f.child++];
-        if (index[w] == kNone) {
-          frames.push_back({w});
-          descended = true;
+    }
+    return seen;
+  };
+
+  // Memoized ancestor sets of fork nodes, for the minimality filter below.
+  std::map<std::size_t, std::vector<bool>> fork_anc;
+  const auto fork_ancestors = [&](std::size_t id) -> const std::vector<bool>& {
+    auto it = fork_anc.find(id);
+    if (it == fork_anc.end()) it = fork_anc.emplace(id, ancestors(id)).first;
+    return it->second;
+  };
+
+  for (const auto& n : nodes) {
+    if (n.type != NodeType::kJoin) continue;
+    // Ancestor set of each input's driving node. Two inputs sharing a fork
+    // ancestor means two distinct fork->join paths (the final edges differ),
+    // i.e. reconvergence.
+    std::vector<std::vector<bool>> anc(n.inputs);
+    for (const std::size_t e : adj.in[n.id]) {
+      if (edges[e].to_port < n.inputs) anc[edges[e].to_port] = ancestors(edges[e].from);
+    }
+    std::vector<std::size_t> common;
+    for (const auto& f : nodes) {
+      if (f.type != NodeType::kFork) continue;
+      unsigned reached = 0;
+      for (const auto& a : anc) {
+        if (f.id < a.size() && a[f.id]) ++reached;
+      }
+      if (reached >= 2) common.push_back(f.id);
+    }
+    // Report only the divergence points: drop a fork whose paths all run
+    // through a later common fork (it would re-report the same cycle).
+    for (const std::size_t f : common) {
+      bool minimal = true;
+      for (const std::size_t g : common) {
+        if (g != f && fork_ancestors(g)[f]) {
+          minimal = false;
           break;
         }
-        if (on_stack[w]) lowlink[v] = std::min(lowlink[v], index[w]);
       }
-      if (descended) continue;
-      if (lowlink[v] == index[v]) {
-        std::vector<std::size_t> scc;
-        while (true) {
-          const std::size_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          scc.push_back(w);
-          if (w == v) break;
-        }
-        const bool self_arc =
-            scc.size() == 1 &&
-            std::find(adj[v].begin(), adj[v].end(), v) != adj[v].end();
-        if (scc.size() >= 2 || self_arc) {
-          std::sort(scc.begin(), scc.end());
-          sccs.push_back(std::move(scc));
-        }
-      }
-      frames.pop_back();
+      if (minimal) pairs.push_back(ReconvergentPair{f, n.id});
     }
   }
-  return sccs;
+  return pairs;
 }
 
 class Analyzer {
@@ -169,6 +159,7 @@ class Analyzer {
   // --- MTE001-005: ports, drivers, edge references ------------------------
   /// Returns false when an edge references a missing node or port
   /// (MTE005): the graph checks cannot run on dangling references.
+  /// Otherwise builds the adjacency they share.
   bool check_wiring() {
     const auto& nodes = net_.nodes();
     bool refs_ok = true;
@@ -232,20 +223,16 @@ class Analyzer {
         }
       }
     }
+    if (refs_ok) adj_ = netlist::adjacency(net_);
     return refs_ok;
   }
 
   // --- MTE010/011: dead components ----------------------------------------
   void check_liveness() {
     const auto& nodes = net_.nodes();
-    std::vector<std::vector<std::size_t>> fwd(nodes.size());
-    std::vector<std::vector<std::size_t>> bwd(nodes.size());
-    for (const auto& e : net_.edges()) {
-      fwd[e.from].push_back(e.to);
-      bwd[e.to].push_back(e.from);
-    }
-    const auto flood = [&nodes](const std::vector<std::vector<std::size_t>>& adj,
-                                NodeType seed_type) {
+    const auto& edges = net_.edges();
+    const auto flood = [&](bool downstream, NodeType seed_type) {
+      const auto& adj = downstream ? adj_.out : adj_.in;
       std::vector<bool> seen(nodes.size(), false);
       std::vector<std::size_t> stack;
       for (const auto& n : nodes) {
@@ -257,7 +244,8 @@ class Analyzer {
       while (!stack.empty()) {
         const std::size_t u = stack.back();
         stack.pop_back();
-        for (const std::size_t v : adj[u]) {
+        for (const std::size_t e : adj[u]) {
+          const std::size_t v = downstream ? edges[e].to : edges[e].from;
           if (!seen[v]) {
             seen[v] = true;
             stack.push_back(v);
@@ -266,8 +254,8 @@ class Analyzer {
       }
       return seen;
     };
-    const auto fed = flood(fwd, NodeType::kSource);
-    const auto drains = flood(bwd, NodeType::kSink);
+    const auto fed = flood(true, NodeType::kSource);
+    const auto drains = flood(false, NodeType::kSink);
     for (const auto& n : nodes) {
       if (!fed[n.id]) {
         emit("MTE010", Severity::kWarning, n.name, "",
@@ -288,13 +276,13 @@ class Analyzer {
   // --- MTE020: storage-free combinational cycles --------------------------
   void check_comb_cycles() {
     const auto& nodes = net_.nodes();
-    std::vector<std::vector<std::size_t>> adj(nodes.size());
+    std::vector<std::vector<std::size_t>> adj(nodes.size());  // storage-free subgraph
     for (const auto& e : net_.edges()) {
-      if (!is_storage(nodes[e.from].type) && !is_storage(nodes[e.to].type)) {
+      if (!semantics(nodes[e.from].type).storage() && !semantics(nodes[e.to].type).storage()) {
         adj[e.from].push_back(e.to);
       }
     }
-    for (const auto& scc : tarjan_nontrivial(adj)) {
+    for (const auto& scc : graph::nontrivial_components(adj)) {
       std::vector<std::string> names;
       for (const std::size_t id : scc) {
         names.push_back(nodes[id].name);
@@ -312,9 +300,9 @@ class Analyzer {
   // --- MTE030: structural deadlock (feedback loop through a lazy join) ----
   void check_deadlock() {
     const auto& nodes = net_.nodes();
-    std::vector<std::vector<std::size_t>> adj(nodes.size());
-    for (const auto& e : net_.edges()) adj[e.from].push_back(e.to);
-    for (const auto& scc : tarjan_nontrivial(adj)) {
+    const auto& edges = net_.edges();
+    const auto head = [&edges](std::size_t e) { return edges[e].to; };
+    for (const auto& scc : graph::nontrivial_components(adj_.out, head)) {
       std::vector<std::string> joins;
       std::vector<std::string> names;
       for (const std::size_t id : scc) {
@@ -342,7 +330,7 @@ class Analyzer {
 
   void check_reconvergence() {
     const auto& nodes = net_.nodes();
-    const auto pairs = reconvergent_pairs(net_);
+    const auto pairs = reconvergent_pairs(net_, adj_);
     const bool hazardous = reconvergence_is_hazardous();
     for (const auto& pair : pairs) {
       const Node& f = nodes[pair.fork_id];
@@ -370,9 +358,8 @@ class Analyzer {
   /// arm is still draining.
   void check_slack(const ReconvergentPair& pair) {
     const auto& nodes = net_.nodes();
+    const auto& edges = net_.edges();
     constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
-    std::vector<std::vector<std::size_t>> adj(nodes.size());
-    for (const auto& e : net_.edges()) adj[e.from].push_back(e.to);
     std::vector<std::size_t> dist(nodes.size(), kInf);
     std::deque<std::size_t> queue;
     dist[pair.fork_id] = 0;
@@ -380,9 +367,10 @@ class Analyzer {
     while (!queue.empty()) {
       const std::size_t u = queue.front();
       queue.pop_front();
-      for (const std::size_t v : adj[u]) {
-        const std::size_t w = is_storage(nodes[v].type) ? 1 : 0;
-        if (dist[u] != kInf && dist[u] + w < dist[v]) {
+      for (const std::size_t e : adj_.out[u]) {
+        const std::size_t v = edges[e].to;
+        const std::size_t w = semantics(nodes[v].type).storage() ? 1 : 0;
+        if (dist[u] + w < dist[v]) {
           dist[v] = dist[u] + w;
           if (w == 0) {
             queue.push_front(v);
@@ -395,11 +383,12 @@ class Analyzer {
     std::size_t mn = kInf;
     std::size_t mx = 0;
     std::size_t arms = 0;
-    for (const auto& e : net_.edges()) {
-      if (e.to != pair.join_id || dist[e.from] == kInf) continue;
+    for (const std::size_t e : adj_.in[pair.join_id]) {
+      const std::size_t d = dist[edges[e].from];
+      if (d == kInf) continue;
       ++arms;
-      mn = std::min(mn, dist[e.from]);
-      mx = std::max(mx, dist[e.from]);
+      mn = std::min(mn, d);
+      mx = std::max(mx, d);
     }
     if (arms < 2 || mx - mn < 2) return;
     const Node& f = nodes[pair.fork_id];
@@ -427,9 +416,9 @@ class Analyzer {
   // --- MTE022/023: port-granular combinational valid/ready feedback ------
   //
   // Two vertices per channel: V(e) — the forward valid/data bundle — and
-  // R(e), the backward ready. Arcs follow each component's real eval
-  // reads (see the header comment); Tarjan-SCC then finds the feedback
-  // the event kernel would discover dynamically and demote on.
+  // R(e), the backward ready. Arcs are each node's declared signal arcs
+  // (netlist/node_semantics.hpp); Tarjan-SCC then finds the feedback the
+  // event kernel would discover dynamically and demote on.
   void check_signal_graph() {
     const auto& nodes = net_.nodes();
     const auto& edges = net_.edges();
@@ -445,104 +434,24 @@ class Analyzer {
       if (!ie[e.to][e.to_port]) ie[e.to][e.to_port] = e.id;
     }
 
-    const bool mt = net_.is_multithreaded();
-    const bool spec = mt && mt::is_ready_aware(opt_.arbiter);
-    const auto v_of = [](std::size_t e) { return 2 * e; };
-    const auto r_of = [](std::size_t e) { return 2 * e + 1; };
     std::vector<std::vector<std::size_t>> adj(2 * edges.size());
-    const auto arc = [&adj](std::size_t from, std::size_t to) {
-      adj[from].push_back(to);
-    };
-
     for (const auto& n : nodes) {
-      const auto& in = ie[n.id];
-      const auto& out = oe[n.id];
-      switch (n.type) {
-        case NodeType::kSource:
-          // MtSource under a ready-aware arbiter grants only threads
-          // whose downstream ready is up: valid(out) <- ready(out).
-          if (spec && out[0]) arc(r_of(*out[0]), v_of(*out[0]));
-          break;
-        case NodeType::kSink:
-          break;  // readiness is state/rate driven
-        case NodeType::kBuffer:
-          // The single-thread EB is registered in both directions. MEBs
-          // pass ready through combinationally (a full slot frees when
-          // the granted thread's output fires), and speculative
-          // arbitration adds valid(out) <- ready(out).
-          if (mt && in[0] && out[0]) arc(r_of(*out[0]), r_of(*in[0]));
-          if (spec && out[0]) arc(r_of(*out[0]), v_of(*out[0]));
-          break;
-        case NodeType::kVarLatency:
-          break;  // registered; the combinational fast path is opt-in
-        case NodeType::kFork:
-          for (const auto& o : out) {
-            if (!o || !in[0]) continue;
-            arc(v_of(*in[0]), v_of(*o));
-            arc(r_of(*o), r_of(*in[0]));
-          }
-          break;
-        case NodeType::kJoin:
-          // Lazy join: out fires when every input is valid, and each
-          // input's ready reads the *peer* inputs' valids.
-          for (std::size_t i = 0; i < in.size(); ++i) {
-            if (!in[i]) continue;
-            if (out[0]) {
-              arc(v_of(*in[i]), v_of(*out[0]));
-              arc(r_of(*out[0]), r_of(*in[i]));
-            }
-            for (std::size_t j = 0; j < in.size(); ++j) {
-              if (j != i && in[j]) arc(v_of(*in[j]), r_of(*in[i]));
-            }
-          }
-          break;
-        case NodeType::kMerge:
-          // The grant scan reads every input valid; M-Merge selection
-          // additionally reads downstream ready (hardwired ready-aware
-          // with speculative fallback, independent of the MEB arbiter).
-          for (std::size_t i = 0; i < in.size(); ++i) {
-            if (!in[i]) continue;
-            if (out[0]) {
-              arc(v_of(*in[i]), v_of(*out[0]));
-              arc(r_of(*out[0]), r_of(*in[i]));
-            }
-            for (std::size_t j = 0; j < in.size(); ++j) {
-              if (in[j]) arc(v_of(*in[j]), r_of(*in[i]));
-            }
-          }
-          if (mt && out[0]) arc(r_of(*out[0]), v_of(*out[0]));
-          break;
-        case NodeType::kBranch:
-          // The predicate reads the incoming token, so ready(in) depends
-          // on the forward bundle as well as the selected output's ready.
-          for (const auto& o : out) {
-            if (!o || !in[0]) continue;
-            arc(v_of(*in[0]), v_of(*o));
-            arc(r_of(*o), r_of(*in[0]));
-          }
-          if (in[0]) arc(v_of(*in[0]), r_of(*in[0]));
-          break;
-        case NodeType::kFunction:
-          if (in[0] && out[0]) {
-            arc(v_of(*in[0]), v_of(*out[0]));
-            arc(r_of(*out[0]), r_of(*in[0]));
-          }
-          break;
-        case NodeType::kCustom:
-          // Conservatively a full combinational crossbar, matching
-          // MTE020's treatment of custom nodes.
-          for (const auto& i : in) {
-            for (const auto& o : out) {
-              if (!i || !o) continue;
-              arc(v_of(*i), v_of(*o));
-              arc(r_of(*o), r_of(*i));
-            }
-          }
-          break;
-      }
+      // V(e) is vertex 2e, R(e) is 2e + 1; unconnected ports have none.
+      const auto vertex = [&](const netlist::PortSignal& s) -> std::optional<std::size_t> {
+        const auto& e = (s.output ? oe : ie)[n.id][s.port];
+        if (!e) return std::nullopt;
+        return 2 * *e + (s.ready ? 1 : 0);
+      };
+      netlist::for_each_signal_arc(
+          n, net_.is_multithreaded(), mt::is_ready_aware(opt_.arbiter),
+          [&](const netlist::PortSignal& from, const netlist::PortSignal& to) {
+            const auto u = vertex(from);
+            const auto v = vertex(to);
+            if (u && v) adj[*u].push_back(*v);
+          });
     }
 
-    for (const auto& scc : tarjan_nontrivial(adj)) {
+    for (const auto& scc : graph::nontrivial_components(adj)) {
       std::set<std::size_t> edge_ids;
       std::set<std::size_t> node_ids;
       for (const std::size_t v : scc) {
@@ -705,6 +614,7 @@ class Analyzer {
   std::set<std::size_t> comb_cycle_nodes_;  // members of MTE020 cycles
   std::set<std::size_t> hazard_joins_;      // joins of MTE021 pairs
   std::optional<PerfReport> perf_;          // set when opt_.perf
+  netlist::Adjacency adj_;                  // set once the wiring checks pass
 };
 
 }  // namespace
@@ -720,71 +630,7 @@ AnalysisReport elaboration_errors(const Netlist& net, mt::ArbiterKind arbiter) {
 }
 
 std::vector<ReconvergentPair> reconvergent_pairs(const Netlist& net) {
-  std::vector<ReconvergentPair> pairs;
-  const auto& nodes = net.nodes();
-  std::vector<std::vector<std::size_t>> radj(nodes.size());
-  for (const auto& e : net.edges()) {
-    if (e.from < nodes.size() && e.to < nodes.size()) radj[e.to].push_back(e.from);
-  }
-  const auto ancestors = [&](std::size_t start) {
-    std::vector<bool> seen(nodes.size(), false);
-    std::vector<std::size_t> stack{start};
-    seen[start] = true;
-    while (!stack.empty()) {
-      const std::size_t u = stack.back();
-      stack.pop_back();
-      for (const std::size_t p : radj[u]) {
-        if (!seen[p]) {
-          seen[p] = true;
-          stack.push_back(p);
-        }
-      }
-    }
-    return seen;
-  };
-
-  // Memoized ancestor sets of fork nodes, for the minimality filter below.
-  std::map<std::size_t, std::vector<bool>> fork_anc;
-  const auto fork_ancestors = [&](std::size_t id) -> const std::vector<bool>& {
-    auto it = fork_anc.find(id);
-    if (it == fork_anc.end()) it = fork_anc.emplace(id, ancestors(id)).first;
-    return it->second;
-  };
-
-  for (const auto& n : nodes) {
-    if (n.type != NodeType::kJoin) continue;
-    // Ancestor set of each input's driving node. Two inputs sharing a fork
-    // ancestor means two distinct fork->join paths (the final edges differ),
-    // i.e. reconvergence.
-    std::vector<std::vector<bool>> anc(n.inputs);
-    for (const auto& e : net.edges()) {
-      if (e.to == n.id && e.to_port < n.inputs && e.from < nodes.size()) {
-        anc[e.to_port] = ancestors(e.from);
-      }
-    }
-    std::vector<std::size_t> common;
-    for (const auto& f : nodes) {
-      if (f.type != NodeType::kFork) continue;
-      unsigned reached = 0;
-      for (const auto& a : anc) {
-        if (f.id < a.size() && a[f.id]) ++reached;
-      }
-      if (reached >= 2) common.push_back(f.id);
-    }
-    // Report only the divergence points: drop a fork whose paths all run
-    // through a later common fork (it would re-report the same cycle).
-    for (const std::size_t f : common) {
-      bool minimal = true;
-      for (const std::size_t g : common) {
-        if (g != f && fork_ancestors(g)[f]) {
-          minimal = false;
-          break;
-        }
-      }
-      if (minimal) pairs.push_back(ReconvergentPair{f, n.id});
-    }
-  }
-  return pairs;
+  return reconvergent_pairs(net, netlist::adjacency(net));
 }
 
 }  // namespace mte::analysis

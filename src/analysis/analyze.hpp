@@ -31,14 +31,13 @@
 //               fix-it, informational Bernoulli rate caps, and solver
 //               self-check failures (non-convergence, Howard vs Karp)
 //
-// The port-granular signal model encodes each component's real
-// combinational dependencies (who reads which wire during eval), taken
-// from the component sources: lazy joins couple each input's ready to
-// the peer input's valid; speculative (ready-aware) MEB/source
-// arbitration couples valid back to downstream ready; MEBs pass ready
-// through combinationally; branches derive ready from the predicate on
-// the incoming token. Single-thread EBs and var-latency units cut both
-// directions.
+// Node-type semantics — storage, token alignment, and the port-granular
+// valid/ready arcs of each default component — live in one table,
+// netlist/node_semantics.hpp, which the performance pass reads as well.
+// Lazy joins couple each input's ready to the peer inputs' valids;
+// ready-aware MEB/source arbitration couples valid back to downstream
+// ready; every buffer flavour drives its input ready from registered
+// state, so EBs, MEBs and var-latency units cut the combinational paths.
 #pragma once
 
 #include <cstddef>

@@ -8,11 +8,13 @@
 #include <queue>
 #include <set>
 
+#include "graph/scc.hpp"
+#include "netlist/node_semantics.hpp"
+
 namespace mte::analysis {
 namespace {
 
 using netlist::Netlist;
-using netlist::Node;
 using netlist::NodeType;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -39,33 +41,11 @@ struct GraphModel {
                                   ///< except var-latency)
 };
 
-bool is_storage(NodeType t) {
-  return t == NodeType::kBuffer || t == NodeType::kVarLatency;
-}
-
-/// Nodes whose token-index alignment is data-dependent: constraint arcs
-/// must not cross them (dropping constraints keeps the bound sound).
-bool breaks_alignment(NodeType t) {
-  return t == NodeType::kBranch || t == NodeType::kMerge || t == NodeType::kCustom;
-}
-
-std::size_t clamped_lo(const Node& n) {
-  return n.latency_lo == 0 ? 1 : n.latency_lo;
-}
-
-/// Token capacity of a storage node: how many acceptances may outrun the
-/// downstream consumption of the oldest held token.
-std::size_t capacity_of(const Node& n, const Netlist& net, const PerfOptions& opt) {
-  const std::size_t s = net.is_multithreaded() ? net.threads() : 1;
-  if (n.type == NodeType::kVarLatency) return net.is_multithreaded() ? s : 1;
-  if (!net.is_multithreaded()) return 2;  // the 2-slot EB
-  if (opt.meb_shared_slots) return s + *opt.meb_shared_slots;  // hybrid MEB
-  return net.meb_kind() == mt::MebKind::kReduced ? s + 1 : 2 * s;
-}
-
-GraphModel build_model(const Netlist& net, const PerfOptions& opt) {
+GraphModel build_model(const Netlist& net, const netlist::Adjacency& adj,
+                       const PerfOptions& opt) {
   GraphModel m;
   const auto& nodes = net.nodes();
+  const auto& edges = net.edges();
   m.head.assign(nodes.size(), kNone);
   m.tail.assign(nodes.size(), kNone);
 
@@ -79,58 +59,50 @@ GraphModel build_model(const Netlist& net, const PerfOptions& opt) {
   };
 
   for (const auto& n : nodes) {
-    const bool event_vertex = n.type == NodeType::kSource ||
-                              n.type == NodeType::kSink || is_storage(n.type);
-    if (!event_vertex) continue;
+    const netlist::NodeSemantics& row = netlist::semantics(n.type);
+    if (!row.accepts && !row.offers) continue;
     const std::size_t h = add_vertex(n.id, false);
     m.head[n.id] = h;
     std::size_t t = h;
-    if (n.type == NodeType::kVarLatency) {
-      for (std::size_t i = 1; i < clamped_lo(n); ++i) {
-        const std::size_t d = add_vertex(n.id, true);
-        arc(t, d, 0);
-        t = d;
-      }
+    for (std::size_t i = 1; i < row.fill_latency(n); ++i) {
+      const std::size_t d = add_vertex(n.id, true);
+      arc(t, d, 0);
+      t = d;
     }
     m.tail[n.id] = t;
   }
 
-  // Out-edges per node for the combinational closure walk.
-  std::vector<std::vector<std::size_t>> out(nodes.size());
-  for (const auto& e : net.edges()) {
-    if (e.from < nodes.size() && e.to < nodes.size()) out[e.from].push_back(e.to);
-  }
-
   const std::size_t s = net.is_multithreaded() ? net.threads() : 1;
   for (const auto& u : nodes) {
-    const bool producer = u.type == NodeType::kSource || is_storage(u.type);
-    if (!producer) continue;
+    const netlist::NodeSemantics& row = netlist::semantics(u.type);
+    if (!row.offers) continue;
 
     // Combinational closure: every storage/sink acceptance fed from u's
     // output without crossing an alignment-breaking node.
     std::set<std::size_t> consumers;
     std::set<std::size_t> visited;
-    std::vector<std::size_t> stack(out[u.id].begin(), out[u.id].end());
+    std::vector<std::size_t> stack;
+    for (const std::size_t e : adj.out[u.id]) stack.push_back(edges[e].to);
     while (!stack.empty()) {
       const std::size_t v = stack.back();
       stack.pop_back();
       if (!visited.insert(v).second) continue;
-      const Node& nv = nodes[v];
-      if (is_storage(nv.type) || nv.type == NodeType::kSink) {
+      const netlist::NodeSemantics& rv = netlist::semantics(nodes[v].type);
+      if (rv.accepts) {
         consumers.insert(v);
         continue;
       }
-      if (breaks_alignment(nv.type) || nv.type == NodeType::kSource) continue;
-      for (const std::size_t w : out[v]) stack.push_back(w);
+      if (rv.breaks_alignment || rv.offers) continue;
+      for (const std::size_t e : adj.out[v]) stack.push_back(edges[e].to);
     }
 
-    const std::size_t cap = capacity_of(u, net, opt);
+    const std::size_t cap = row.capacity(net, opt.meb_shared_slots);
     for (const std::size_t c : consumers) {
       // Forward: c's n-th acceptance trails u's n-th offer by >= 1 cycle.
       // A path looping back to u itself re-enters as acceptance n+1.
       arc(m.tail[u.id], m.head[c], c == u.id ? 1 : 0);
       // Backward slot release (sources hold no tokens).
-      if (is_storage(u.type)) arc(m.head[c], m.head[u.id], cap);
+      if (row.storage()) arc(m.head[c], m.head[u.id], cap);
     }
     // Cross-consumer coupling: >= 2 consumers of one output only arise
     // through forks, whose eager control holds the head token until all
@@ -187,13 +159,8 @@ std::vector<std::size_t> weak_components(const MarkedGraph& g) {
 /// var-latency unit adds latency_lo, combinational nodes add nothing.
 /// Joins take the min over inputs (a lower bound — sound for an upper
 /// throughput bound) so plain Dijkstra applies.
-std::vector<std::size_t> fill_latency(const Netlist& net) {
+std::vector<std::size_t> fill_latency(const Netlist& net, const netlist::Adjacency& adj) {
   const auto& nodes = net.nodes();
-  const auto weight = [&nodes](std::size_t v) -> std::size_t {
-    if (nodes[v].type == NodeType::kBuffer) return 1;
-    if (nodes[v].type == NodeType::kVarLatency) return clamped_lo(nodes[v]);
-    return 0;
-  };
   std::vector<std::size_t> dist(nodes.size(), kNone);
   using Item = std::pair<std::size_t, std::size_t>;  // (dist, node)
   std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
@@ -203,17 +170,13 @@ std::vector<std::size_t> fill_latency(const Netlist& net) {
       pq.push({0, n.id});
     }
   }
-  std::vector<std::vector<std::size_t>> outadj(nodes.size());
-  for (const auto& e : net.edges()) {
-    if (e.from < nodes.size() && e.to < nodes.size())
-      outadj[e.from].push_back(e.to);
-  }
   while (!pq.empty()) {
     const auto [d, u] = pq.top();
     pq.pop();
     if (d != dist[u]) continue;
-    for (const std::size_t v : outadj[u]) {
-      const std::size_t nd = d + weight(v);
+    for (const std::size_t e : adj.out[u]) {
+      const std::size_t v = net.edges()[e].to;
+      const std::size_t nd = d + netlist::semantics(nodes[v].type).fill_latency(nodes[v]);
       if (dist[v] == kNone || nd < dist[v]) {
         dist[v] = nd;
         pq.push({nd, v});
@@ -224,70 +187,8 @@ std::vector<std::size_t> fill_latency(const Netlist& net) {
 }
 
 // ---------------------------------------------------------------------------
-// Karp helpers
+// Policy walks
 // ---------------------------------------------------------------------------
-
-/// Iterative Tarjan returning nontrivial SCCs (>= 2 vertices, or one
-/// vertex with a self-arc).
-std::vector<std::vector<std::size_t>> nontrivial_sccs(const MarkedGraph& g) {
-  const std::size_t n = g.adj.size();
-  std::vector<std::size_t> index(n, kNone);
-  std::vector<std::size_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::size_t> stack;
-  std::vector<std::vector<std::size_t>> sccs;
-  std::size_t next_index = 0;
-
-  struct Frame {
-    std::size_t v;
-    std::size_t child = 0;
-  };
-  std::vector<Frame> frames;
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != kNone) continue;
-    frames.push_back({root});
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      const std::size_t v = f.v;
-      if (f.child == 0) {
-        index[v] = lowlink[v] = next_index++;
-        stack.push_back(v);
-        on_stack[v] = true;
-      } else {
-        const std::size_t w = g.adj[v][f.child - 1].to;
-        lowlink[v] = std::min(lowlink[v], lowlink[w]);
-      }
-      bool descended = false;
-      while (f.child < g.adj[v].size()) {
-        const std::size_t w = g.adj[v][f.child++].to;
-        if (index[w] == kNone) {
-          frames.push_back({w});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) lowlink[v] = std::min(lowlink[v], index[w]);
-      }
-      if (descended) continue;
-      if (lowlink[v] == index[v]) {
-        std::vector<std::size_t> scc;
-        while (true) {
-          const std::size_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          scc.push_back(w);
-          if (w == v) break;
-        }
-        const bool self_arc =
-            scc.size() == 1 &&
-            std::any_of(g.adj[v].begin(), g.adj[v].end(),
-                        [v](const PerfArc& a) { return a.to == v; });
-        if (scc.size() >= 2 || self_arc) sccs.push_back(std::move(scc));
-      }
-      frames.pop_back();
-    }
-  }
-  return sccs;
-}
 
 /// Walks the converged policy from `start` until it closes a cycle;
 /// returns the cycle's vertices plus its (tokens, hops) weight.
@@ -497,7 +398,8 @@ std::vector<std::size_t> slack_from(const MarkedGraph& g,
 double karp_min_cycle_mean(const MarkedGraph& g) {
   double best = kInf;
   std::vector<std::size_t> local(g.adj.size(), kNone);
-  for (const auto& scc : nontrivial_sccs(g)) {
+  for (const auto& scc :
+       graph::nontrivial_components(g.adj, [](const PerfArc& a) { return a.to; })) {
     const std::size_t nc = scc.size();
     for (std::size_t i = 0; i < nc; ++i) local[scc[i]] = i;
     // arcs[v] = incoming (from, weight) pairs within the SCC.
@@ -583,7 +485,8 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
     }
   }
 
-  const GraphModel model = build_model(net, options);
+  const netlist::Adjacency adj = netlist::adjacency(net);
+  const GraphModel model = build_model(net, adj, options);
   const CycleMeanResult howard = howard_min_cycle_mean(model.graph);
   const double karp = karp_min_cycle_mean(model.graph);
   rep.converged = howard.converged;
@@ -592,7 +495,7 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
       (howard.ratio == kInf && karp == kInf) || std::abs(howard.ratio - karp) <= kEps;
 
   const std::vector<std::size_t> comp = weak_components(model.graph);
-  const std::vector<std::size_t> fill = fill_latency(net);
+  const std::vector<std::size_t> fill = fill_latency(net, adj);
 
   // Aggregate MEB service cap: the hybrid MEB caps each thread's
   // sustained rate at (1+K)/2, so S threads together move at most
@@ -610,14 +513,6 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
     const double e = howard.vertex_ratio[v];
     auto [it, inserted] = comp_min.emplace(comp[v], std::make_pair(e, v));
     if (!inserted && e < it->second.first - kEps) it->second = {e, v};
-  }
-
-  // Channel feeding each sink, as elaboration names it ("driver:port").
-  std::map<std::size_t, std::string> sink_channel;
-  for (const auto& e : net.edges()) {
-    if (nodes[e.to].type == NodeType::kSink) {
-      sink_channel[e.to] = nodes[e.from].name + ":" + std::to_string(e.from_port);
-    }
   }
 
   // Turns a walked critical cycle into the user-facing locus list.
@@ -675,8 +570,10 @@ PerfReport analyze_perf(const Netlist& net, const PerfOptions& options) {
     if (n.type != NodeType::kSink) continue;
     PerfSinkBound sb;
     sb.sink = n.name;
-    const auto ch = sink_channel.find(n.id);
-    if (ch != sink_channel.end()) sb.channel = ch->second;
+    if (!adj.in[n.id].empty()) {  // the channel feeding it, as elaboration names it
+      const netlist::Edge& e = net.edges()[adj.in[n.id].back()];
+      sb.channel = nodes[e.from].name + ":" + std::to_string(e.from_port);
+    }
     sb.reachable = fill[n.id] != kNone;
     sb.fill_latency = sb.reachable ? fill[n.id] : 0;
     sb.candidates.push_back({1, 1, 0});

@@ -19,8 +19,7 @@
 //     units insert latency_lo - 1 internal delay vertices.
 //   - backward c -> u (delay 1, tokens = capacity(u)): u can accept its
 //     n-th token only after its (n - cap)-th left, i.e. after every
-//     downstream consumer accepted it. EB capacity 2; MEB capacity 2S
-//     (full), S+1 (reduced) or S+K (hybrid); var-latency 1 (S shared).
+//     downstream consumer accepted it.
 //   - cross-consumer c_j -> c_i (delay 1, tokens = S): the eager fork
 //     keeps only the head token on its outputs, so arm i sees token k+1
 //     no earlier than one cycle after every peer arm consumed token k.
@@ -28,7 +27,9 @@
 //     most one token per cycle.
 // Paths crossing a branch, merge or custom node contribute *no*
 // constraint arcs (token index alignment is data-dependent there);
-// dropping constraints only raises the bound, keeping it sound.
+// dropping constraints only raises the bound, keeping it sound. Which
+// nodes are events, their capacity, fill latency and alignment come from
+// their rows in netlist/node_semantics.hpp.
 //
 // The per-sink bound is min(1, component cycle ratio, aggregate MEB
 // service cap), and windowed_bound() folds in the pipeline fill latency

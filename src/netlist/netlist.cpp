@@ -113,6 +113,19 @@ std::size_t Netlist::count(NodeType type) const {
                     [type](const Node& n) { return n.type == type; }));
 }
 
+Adjacency adjacency(const Netlist& net) {
+  const std::size_t n = net.nodes().size();
+  Adjacency adj{std::vector<std::vector<std::size_t>>(n),
+                std::vector<std::vector<std::size_t>>(n)};
+  const auto& edges = net.edges();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (edges[i].from >= n || edges[i].to >= n) continue;
+    adj.out[edges[i].from].push_back(i);
+    adj.in[edges[i].to].push_back(i);
+  }
+  return adj;
+}
+
 std::string Netlist::to_dot() const {
   std::ostringstream os;
   os << "digraph elastic {\n  rankdir=LR;\n";

@@ -128,4 +128,13 @@ class Netlist {
   mt::MebKind meb_kind_ = mt::MebKind::kFull;
 };
 
+/// Node-level adjacency, in edge order: out[u] lists the indices (into
+/// Netlist::edges()) of u's out-edges and in[v] those of v's in-edges.
+/// Edges that name a missing node are skipped.
+struct Adjacency {
+  std::vector<std::vector<std::size_t>> out;
+  std::vector<std::vector<std::size_t>> in;
+};
+[[nodiscard]] Adjacency adjacency(const Netlist& net);
+
 }  // namespace mte::netlist

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/scc.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace_session.hpp"
 #include "sim/fault_injector.hpp"
@@ -387,70 +388,24 @@ void Simulator::relevelize() {
     }
   }
 
-  // Strongly connected components (iterative Tarjan), then longest-path
-  // levels over the condensation DAG. Processes of the same SCC (e.g. the
-  // cross-coupled ready/valid of an M-Join and its feeding MEBs) share a
-  // level and iterate there to their fixed point; everything else settles
-  // in one topologically ordered sweep.
-  constexpr std::uint32_t kUnvisited = 0xffffffffu;
-  std::vector<std::uint32_t> dfs_index(n, kUnvisited);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<std::uint32_t> scc(n, 0);
-  std::vector<char> onstack(n, 0);
-  std::vector<std::uint32_t> stack;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> frames;  // (node, child)
-  std::uint32_t next_index = 0;
-  std::uint32_t scc_count = 0;
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (dfs_index[root] != kUnvisited) continue;
-    frames.emplace_back(root, 0);
-    while (!frames.empty()) {
-      const std::uint32_t v = frames.back().first;
-      if (frames.back().second == 0) {
-        dfs_index[v] = lowlink[v] = next_index++;
-        stack.push_back(v);
-        onstack[v] = 1;
-      }
-      if (frames.back().second < succ[v].size()) {
-        const std::uint32_t w = succ[v][frames.back().second++];
-        if (dfs_index[w] == kUnvisited) {
-          frames.emplace_back(w, 0);
-        } else if (onstack[w] != 0) {
-          lowlink[v] = std::min(lowlink[v], dfs_index[w]);
-        }
-      } else {
-        if (lowlink[v] == dfs_index[v]) {
-          while (true) {
-            const std::uint32_t w = stack.back();
-            stack.pop_back();
-            onstack[w] = 0;
-            scc[w] = scc_count;
-            if (w == v) break;
-          }
-          ++scc_count;
-        }
-        frames.pop_back();
-        if (!frames.empty()) {
-          lowlink[frames.back().first] =
-              std::min(lowlink[frames.back().first], lowlink[v]);
-        }
-      }
-    }
-  }
-
-  // Tarjan numbers SCCs in reverse topological order (descendants first),
-  // so walking ids downward visits every SCC before its successors.
-  std::vector<std::vector<std::uint32_t>> members(scc_count);
-  for (std::uint32_t i = 0; i < n; ++i) members[scc[i]].push_back(i);
-  std::vector<std::uint32_t> scc_level(scc_count, 0);
+  // Strongly connected components, then longest-path levels over the
+  // condensation DAG. Processes of the same SCC (e.g. the cross-coupled
+  // ready/valid of an M-Join and its feeding MEBs) share a level and
+  // iterate there to their fixed point; everything else settles in one
+  // topologically ordered sweep. Component ids are reverse topological
+  // (descendants first), so walking them downward visits every SCC before
+  // its successors.
+  const graph::Sccs scc = graph::strong_components(succ);
+  std::vector<std::vector<std::uint32_t>> members(scc.count);
+  for (std::uint32_t i = 0; i < n; ++i) members[scc.comp[i]].push_back(i);
+  std::vector<std::uint32_t> scc_level(scc.count, 0);
   std::uint32_t max_level = 0;
-  for (std::uint32_t s = scc_count; s-- > 0;) {
+  for (std::size_t s = scc.count; s-- > 0;) {
     max_level = std::max(max_level, scc_level[s]);
     for (const std::uint32_t u : members[s]) {
       for (const std::uint32_t w : succ[u]) {
-        if (scc[w] != s) {
-          scc_level[scc[w]] = std::max(scc_level[scc[w]], scc_level[s] + 1);
-        }
+        const std::size_t sw = scc.comp[w];
+        if (sw != s) scc_level[sw] = std::max(scc_level[sw], scc_level[s] + 1);
       }
     }
   }
@@ -459,7 +414,7 @@ void Simulator::relevelize() {
   for (Component* c : components_) {
     for (std::uint32_t i = 0; i < c->kernel_proc_count_; ++i) {
       const std::uint32_t id = c->kernel_proc_base_ + i;
-      c->kernel_procs_[i].level = scc_level[scc[id]];
+      c->kernel_procs_[i].level = scc_level[scc.comp[id]];
     }
   }
   buckets_.resize(level_count_ + 1);  // buckets are empty between settles
